@@ -181,6 +181,16 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
     )
 
 
+def _probit_inversion(model: MacroModel) -> tuple[float, float, float]:
+    """(probit(p), sqrt(1 - rho), sqrt(rho)) for mapping predictors to z."""
+    if model.rho <= 0.0:
+        raise InputError("zero-rho",
+                         "economy state undefined without systematic risk "
+                         "(rho = 0)")
+    return (std_normal_inv_cdf(model.p), np.sqrt(1.0 - model.rho),
+            np.sqrt(model.rho))
+
+
 def economy_state(model: MacroModel, macro_row) -> float:
     """Economy state z implied by one row of macro variables.
 
@@ -192,25 +202,27 @@ def economy_state(model: MacroModel, macro_row) -> float:
     Requires rho > 0; without systematic risk the credit index carries no
     information about z.
     """
-    if model.rho <= 0.0:
-        raise InputError("zero-rho",
-                         "economy state undefined without systematic risk "
-                         "(rho = 0)")
+    probit_p, scale, sqrt_rho = _probit_inversion(model)
     predictor = model.linear_predictor(macro_row)
-    return float((std_normal_inv_cdf(model.p)
-                  - np.sqrt(1.0 - model.rho) * predictor) / np.sqrt(model.rho))
+    return float((probit_p - scale * predictor) / sqrt_rho)
 
 
 def economy_state_path(model: MacroModel, scenario: MacroScenario) -> np.ndarray:
     """z_t for every scenario period that has lagged regressors available.
 
     Returns a vector of length ``n_periods - lag``; entry t corresponds to
-    scenario period ``lag + t`` and is computed from macro row t.
+    scenario period ``lag + t`` and is computed from macro row t, exactly as
+    :func:`economy_state` would.
     """
     if scenario.n_vars != model.n_vars:
         raise InputError("dimension-mismatch",
                          f"model has {model.n_vars} variables, scenario has "
                          f"{scenario.n_vars}")
     count = max(scenario.n_periods - model.lag, 0)
-    rows = scenario.values[:count]
-    return np.array([economy_state(model, row) for row in rows])
+    if count == 0:
+        return np.array([])
+    probit_p, scale, sqrt_rho = _probit_inversion(model)
+    # one dot per row: a batched product rounds differently
+    predictors = np.array([model.linear_predictor(row)
+                           for row in scenario.values[:count]])
+    return (probit_p - scale * predictors) / sqrt_rho

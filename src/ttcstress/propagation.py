@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .transition import TransitionMatrix, stress_transition_matrix
+from .transition import TransitionMatrix, _check_rho, _stressed_rows
 
 _SUM_TOL = 1e-12
 
@@ -179,8 +179,9 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
 
     Each period stresses the matrix at z_t (z == 0 uses ``tm`` unchanged,
     bit for bit) and applies one propagation step, the same as
-    :func:`propagate_step`.  The recorded average PD uses the unstressed
-    matrix throughout.
+    :func:`stress_transition_matrix` followed by :func:`propagate_step`;
+    all stressed periods are transformed together, on raw arrays.  The
+    recorded average PD uses the unstressed matrix throughout.
     """
     z_arr = np.asarray(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -197,13 +198,30 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     flows = np.empty(m)
     pds = np.empty(m)
     orig = origination.weights
+    # z == 0 or rho == 0 means no stress; rho is checked only if z asks for it
+    stressed_at = z_arr != 0.0
+    if stressed_at.any():
+        rho = _check_rho(rho)
+        stressed_at &= rho > 0.0
+    if stressed_at.any():
+        # whole n x n matrices, so each step is propagate_step's product
+        stressed = np.zeros((int(stressed_at.sum()), n, n))
+        stressed[:, :-1] = _stressed_rows(tm, rho, z_arr[stressed_at])
+        stressed[:, -1, -1] = 1.0
+        if not np.isfinite(stressed).all():
+            raise InputError("invalid-argument",
+                             "stressed transition matrix contains non-finite "
+                             "entries")
     rescaled = (None if tm.published is None
                 else _rescaled_step_matrix(tm.published, orig))
     w = initial.weights
-    for t, z_t in enumerate(z_arr):
-        t_z = tm if z_t == 0.0 else stress_transition_matrix(tm, rho, z_t)
-        if t_z.published is None:
-            w, flow = _step_raw(w, t_z.probs, orig)
+    k = 0
+    for t in range(m):
+        if stressed_at[t]:
+            w, flow = _step_raw(w, stressed[k], orig)
+            k += 1
+        elif rescaled is None:
+            w, flow = _step_raw(w, tm.probs, orig)
         else:
             w, flow = _step_rescaled(w, rescaled)
         states[t] = w

@@ -8,7 +8,8 @@ the one-factor quantile shift
 
 so that negative economy states z push probability mass toward worse grades.
 ``z == 0`` (or ``rho == 0``) is treated as "no stress" and returns the input
-matrix unchanged.
+matrix unchanged.  Phi^-1 of the tails is taken once per matrix, and all the
+stressed states of a path share one Phi call.
 """
 from __future__ import annotations
 
@@ -184,6 +185,35 @@ def pit_pd(p_ttc: float, rho: float, z: float) -> float:
     return std_normal_cdf(shifted)
 
 
+def _stressed_rows(tm: TransitionMatrix, rho: float,
+                   z: np.ndarray) -> np.ndarray:
+    """Stressed performing rows at each state z_k of ``z``, shape (m, n-1, n).
+
+    The quantiles Phi^-1 of the cumulative tails do not depend on z, so they
+    are taken once; every state then shares one Phi call.  ``rho`` must
+    already be checked and nonzero, and every z_k finite and nonzero.
+    """
+    p = tm.probs
+    n = tm.n
+    # tails[:, k] = sum of row entries from column k to the end (k = 0..n-1)
+    tails = np.cumsum(p[:-1, ::-1], axis=1)[:, ::-1]
+    q = std_normal_inv_cdf(np.clip(tails[:, 1:], 0.0, 1.0))
+    shift = np.sqrt(rho) * z[:, None, None]
+    scale = np.sqrt(1.0 - rho)
+    stressed = np.empty((z.size, n - 1, n + 1))
+    stressed[:, :, 0] = 1.0
+    stressed[:, :, n] = 0.0
+    stressed[:, :, 1:n] = std_normal_cdf((q - shift) / scale)
+    rows = stressed[:, :, :-1] - stressed[:, :, 1:]
+    # cancellation can leave harmless negative dust; anything larger is a bug
+    if (rows < -_NEG_CLAMP).any():
+        raise InputError("invalid-argument",
+                         "stress transform produced a negative probability")
+    rows[rows < 0.0] = 0.0
+    rows /= rows.sum(axis=2, keepdims=True)
+    return rows
+
+
 def stress_transition_matrix(tm: TransitionMatrix, rho: float,
                              z: float) -> TransitionMatrix:
     """Transform an average transition matrix into one conditional on z.
@@ -199,25 +229,7 @@ def stress_transition_matrix(tm: TransitionMatrix, rho: float,
     z = _check_z(z)
     if rho == 0.0 or z == 0.0:
         return tm
-    p = tm.probs
-    n = tm.n
-    # tails[:, k] = sum of row entries from column k to the end (k = 0..n-1)
-    tails = np.cumsum(p[:-1, ::-1], axis=1)[:, ::-1]
-    shift = np.sqrt(rho) * z
-    scale = np.sqrt(1.0 - rho)
-    stressed = np.empty((n - 1, n + 1))
-    stressed[:, 0] = 1.0
-    stressed[:, n] = 0.0
-    inner = np.clip(tails[:, 1:], 0.0, 1.0)
-    stressed[:, 1:n] = std_normal_cdf((std_normal_inv_cdf(inner) - shift) / scale)
-    rows = stressed[:, :-1] - stressed[:, 1:]
-    # cancellation can leave harmless negative dust; anything larger is a bug
-    if (rows < -_NEG_CLAMP).any():
-        raise InputError("invalid-argument",
-                         "stress transform produced a negative probability")
-    rows[rows < 0.0] = 0.0
-    rows /= rows.sum(axis=1, keepdims=True)
-    out = np.zeros((n, n))
-    out[:-1] = rows
+    out = np.zeros((tm.n, tm.n))
+    out[:-1] = _stressed_rows(tm, rho, np.array([z]))[0]
     out[-1, -1] = 1.0
     return TransitionMatrix(out)

@@ -182,6 +182,29 @@ class TestEconomyState:
                         - np.sqrt(1.0 - model.rho) * predictor) / np.sqrt(model.rho)
             assert z[t] == pytest.approx(expected, abs=1e-12)
 
+    def test_bundled_scenario_z_path_equals_row_by_row_states(self, data_dir):
+        series, scenario = ts.parse_scenario_csv(
+            (data_dir / "scenario.csv").read_text())
+        for lag in (0, 1, 2):
+            model = ts.fit_macro_model(series, scenario, lag=lag)
+            z = ts.economy_state_path(model, scenario)
+            rows = scenario.values[:scenario.n_periods - lag]
+            assert np.array_equal(
+                z, np.array([ts.economy_state(model, row) for row in rows]))
+
+    def test_zero_rho_path_rejected_unless_empty(self):
+        scenario = ts.MacroScenario(values=np.array([[0.1], [0.2], [0.3]]),
+                                    names=("x",))
+        model = self._identity_model(p=0.02, rho=0.0)
+        with pytest.raises(InputError) as err:
+            ts.economy_state_path(model, scenario)
+        assert err.value.code == "zero-rho"
+        for lag in (3, 4):
+            late = ts.MacroModel(betas=model.betas, lag=lag, p=0.02, rho=0.0,
+                                 r_squared=1.0, residual_variance=0.0)
+            z = ts.economy_state_path(late, scenario)
+            assert z.shape == (0,)
+
 
 class TestSeriesValidation:
     def test_values_outside_unit_interval_rejected(self):

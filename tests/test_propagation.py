@@ -115,14 +115,26 @@ class TestAveragePd:
 class TestProjectPath:
     def test_zero_path_equals_manual_unstressed_steps(self, matrix8,
                                                       origination8, portfolios):
-        start = portfolios["midgrade"]
-        path = ts.project_path(start, matrix8, origination8, rho=0.4,
-                               z_path=np.zeros(10))
-        w = start
-        for t in range(10):
-            w, flow = ts.propagate_step(w, matrix8, origination8)
-            assert np.array_equal(path.portfolios[t], w.weights)
-            assert path.default_flows[t] == flow
+        # the batched path equals stress_transition_matrix + propagate_step
+        # period by period, bit for bit, on the rounded bundled matrix and
+        # on an exactly stochastic one, with zero, stressed and mixed paths
+        exact_tm, exact_orig = random_system(np.random.default_rng(8), 8)
+        systems = [(matrix8, origination8, portfolios["midgrade"]),
+                   (exact_tm, exact_orig,
+                    random_portfolio(np.random.default_rng(9), 8))]
+        z_paths = [np.zeros(10), np.full(10, -1.0),
+                   np.array([0.0, -1.3, 0.0, 0.0, 2.1, -0.4, 0.0, 0.7])]
+        for tm, orig, start in systems:
+            for rho in (0.4, 0.2, 0.0):
+                for z_path in z_paths:
+                    path = ts.project_path(start, tm, orig, rho=rho,
+                                           z_path=z_path)
+                    w = start
+                    for t, z in enumerate(z_path):
+                        w, flow = ts.propagate_step(
+                            w, ts.stress_transition_matrix(tm, rho, z), orig)
+                        assert np.array_equal(path.portfolios[t], w.weights)
+                        assert path.default_flows[t] == flow
 
     def test_converges_to_ttc_pd_nonmonotonically(self, matrix8, origination8,
                                                   portfolios):
@@ -181,3 +193,27 @@ class TestCatastrophicPath:
                                rho=0.99, z_path=np.full(3, -8.0))
         assert np.allclose(path.default_flows, 1.0, atol=1e-12)
         assert np.abs(path.portfolios[-1] - origination8.weights).max() == 0.0
+
+
+class TestExtremeInputs:
+    def test_extreme_rho_and_states_stay_stochastic(self, matrix8,
+                                                    origination8, portfolios):
+        # rho at both ends of [0, 1), |z| up to 1e3 on mixed scales and ~20%
+        # exact zeros: every path stays a finite, nonnegative unit book with
+        # finite flows, or fails with an InputError, never with a NaN
+        rng = np.random.default_rng(2024)
+        books = list(portfolios.values())
+        for i in range(3000):
+            rho = (1e-12, 1e-6, float(rng.uniform(0.0, 1.0)), 0.999999)[i % 4]
+            m = int(rng.integers(1, 31))
+            z = rng.uniform(-1e3, 1e3, m) * rng.choice([1.0, 1e-3, 1e-6], m)
+            z[rng.random(m) < 0.2] = 0.0
+            try:
+                path = ts.project_path(books[i % len(books)], matrix8,
+                                       origination8, rho, z)
+            except InputError:
+                continue
+            w = path.portfolios
+            assert np.isfinite(w).all() and (w >= 0.0).all()
+            assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.isfinite(path.default_flows).all()

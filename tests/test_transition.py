@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
 import ttcstress as ts
 from ttcstress.errors import InputError
@@ -177,6 +178,24 @@ class TestStressTransitionMatrix:
         stressed = ts.stress_transition_matrix(tm, rho, z)
         assert np.abs(stressed.probs.sum(axis=1) - 1.0).max() <= 1e-12
         assert (stressed.probs >= 0.0).all()
+
+
+class TestAveragingIdentity:
+    @pytest.mark.parametrize("rho", [0.05, 0.2, 0.5, 0.8])
+    def test_expected_stressed_tails_equal_ttc_tails(self, matrix8, rho):
+        # E_z[stressed tail] = TTC tail for z standard normal, by
+        # Gauss-Hermite quadrature; the even degree puts no node on the
+        # z = 0 "no stress" sentinel, and 40 nodes are not enough at rho 0.8
+        nodes, weights = hermegauss(80)
+        weights = weights / np.sqrt(2.0 * np.pi)
+
+        def tails(p):
+            return np.cumsum(p[:-1, ::-1], axis=1)[:, ::-1]
+
+        expected = sum(w * tails(ts.stress_transition_matrix(matrix8, rho,
+                                                              z).probs)
+                       for z, w in zip(nodes, weights))
+        assert np.abs(expected - tails(matrix8.probs)).max() <= 1e-12
 
 
 class TestStateValidation:
