@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix(p)
     _add_portfolio(p)
     _add_origination(p)
-    _add_common(p, horizon=True, band=True, tol=True)
+    _add_common(p, horizon=True, band=True)
 
     p = add("ttc", "solve for the TTC portfolio and its PD", _cmd_ttc)
     _add_matrix(p)
@@ -225,7 +225,7 @@ def _cmd_validate(args) -> int:
     portfolio = parse_vector_csv(_read(args.portfolio), "portfolio")
     origination = parse_vector_csv(_read(args.origination), "origination")
     report = run_validation(portfolio, tm, origination,
-                            horizon=args.horizon, band=args.band, tol=args.tol)
+                            horizon=args.horizon, band=args.band)
     doc = _validation_dict(report)
     out = _out_dir(args)
     if out is not None:
@@ -247,8 +247,8 @@ def _print_validation(report: ValidationReport) -> None:
     if report.ttc is not None:
         w = ", ".join(f"{x:.4f}" for x in report.ttc.w_ttc.weights)
         print(f"TTC portfolio: ({w})")
-        print(f"TTC PD {_pct(report.ttc.ttc_pd)} "
-              f"({report.ttc.iterations} iterations)")
+        print(f"TTC PD {_pct(report.ttc.ttc_pd)} (direct solve, one-step "
+              f"residual {report.ttc.final_step_delta:.2e})")
     if report.divergence is not None:
         print(f"current PD {_pct(report.divergence.current_pd)}, "
               f"gap to TTC portfolio: L1 {report.divergence.l1:.4f}, "

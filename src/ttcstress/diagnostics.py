@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
-                          average_pd, project_path)
+                          average_pd, project_path, propagate_step)
 from .transition import TransitionMatrix
-from .ttc import (PerronReport, TTCResult, is_primitive, solve_ttc_iterative,
+from .ttc import (PerronReport, TTCResult, _direct_ttc, is_primitive,
                   verify_perron_structure)
 
 DEFAULT_BAND = 0.05
@@ -179,13 +179,12 @@ def detect_spurious_dynamics(path: ProjectionPath,
 def run_validation(current: Portfolio, tm: TransitionMatrix,
                    origination: OriginationVector,
                    horizon: int = DEFAULT_HORIZON,
-                   band: float = DEFAULT_BAND,
-                   tol: float = 1e-12) -> ValidationReport:
+                   band: float = DEFAULT_BAND) -> ValidationReport:
     """Full pre-stress-test validation of a parameterization.
 
-    Checks primitivity, solves for the TTC portfolio, compares it with the
-    current book, projects ``horizon`` periods with no stress, classifies
-    the resulting PD path, and verifies the spectral structure.
+    Checks primitivity, verifies the spectral structure, solves directly
+    for the TTC portfolio, compares it with the current book, projects
+    ``horizon`` periods with no stress and classifies the resulting PD path.
     """
     if horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
@@ -199,12 +198,21 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
             perron=None,
             verdict="fail: not primitive",
         )
-    ttc = solve_ttc_iterative(tm, origination, tol=tol)
-    divergence = compare_portfolios(current, ttc.w_ttc, tm)
+    # build_m_p inside checks the matrix and origination sizes
+    perron = verify_perron_structure(tm, origination)
+    w_ttc = _direct_ttc(tm, origination)
+    stepped, _ = propagate_step(w_ttc, tm, origination)
+    ttc = TTCResult(
+        w_ttc=w_ttc,
+        iterations=0,
+        final_step_delta=float(np.abs(stepped.weights - w_ttc.weights).sum()),
+        ttc_pd=average_pd(w_ttc, tm),
+        spectral_gap_estimate=perron.lambda2,
+    )
+    divergence = compare_portfolios(current, w_ttc, tm)
     path = project_path(current, tm, origination, rho=0.0,
                         z_path=np.zeros(horizon))
     spurious = detect_spurious_dynamics(path, band=band)
-    perron = verify_perron_structure(tm, origination)
     if not perron.passed:
         verdict = "fail: degenerate spectral structure"
     elif spurious.spurious:

@@ -1,12 +1,13 @@
 """Standard normal distribution functions used by every probability transform.
 
 Only the CDF / quantile pair is exposed; both accept scalars or numpy arrays
-and return matching shapes.
+and return matching shapes.  SciPy is imported on first use, so a process
+that never evaluates either function (``validate``, ``ttc``, ``diagnose``)
+does not load it.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InputError
 
@@ -18,6 +19,7 @@ def std_normal_cdf(x):
 
     Accepts floats (including +-inf) or arrays; NaN is rejected.
     """
+    from scipy.special import ndtr
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise InputError("invalid-argument", "std_normal_cdf: NaN input")
@@ -32,6 +34,7 @@ def std_normal_inv_cdf(p):
     the CDF polishes the interior values to full double precision, so the
     round trip Phi(Phi^-1(p)) recovers p to machine accuracy.
     """
+    from scipy.special import ndtr, ndtri
     scalar = np.ndim(p) == 0
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():

@@ -7,10 +7,10 @@ TTC portfolio.  When the performing block is primitive, Perron-Frobenius
 theory makes that fixed vector unique, strictly positive, and the attractor
 of plain iteration from any starting mix.
 
-Two solvers are provided: the fixed-point iteration (the operational
-definition) and a direct linear solve of (M_p - I) w = 0 with the mass
-constraint replacing one redundant row.  They must agree; tests hold them
-to 1e-8 and better.
+Two solvers are provided: the direct solve of (M_p - I) w = 0 with the
+mass constraint replacing one redundant row (the production path), and
+the fixed-point iteration (the operational definition, kept as the
+independent oracle).  They must agree; tests hold them to 1e-8 and better.
 
 A matrix whose rows were rounded (``TransitionMatrix.published`` is set)
 defines its TTC portfolio on the published rates: it is the fixed point of
@@ -78,13 +78,7 @@ def build_m_p(tm: TransitionMatrix, origination: OriginationVector) -> np.ndarra
     re-originated into j.  Every column sums to one because each performing
     grade's full mass is redistributed.
     """
-    if origination.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         f"matrix ({tm.n}) and origination ({origination.n}) "
-                         "sizes must agree")
-    if origination.weights[-1] != 0.0:
-        raise InputError("origination-into-default",
-                         "origination into the default grade must be 0")
+    _check_sizes(tm, origination)
     return _m_p(tm.probs, origination.weights)
 
 
@@ -94,7 +88,12 @@ def _m_p(probs: np.ndarray, orig: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TTCResult:
-    """Converged TTC portfolio with solver diagnostics."""
+    """TTC portfolio with solver diagnostics.
+
+    ``run_validation`` solves directly: ``iterations`` is 0,
+    ``final_step_delta`` is the L1 change one propagation step makes to the
+    portfolio and ``spectral_gap_estimate`` is the exact lambda_2.
+    """
 
     w_ttc: Portfolio
     iterations: int
@@ -191,8 +190,14 @@ def solve_ttc_direct(tm: TransitionMatrix,
     propagation step that rescales the book to unit balance.
     """
     _check_solver_inputs(tm, origination, require_primitive=True)
+    return _direct_ttc(tm, origination)
+
+
+def _direct_ttc(tm: TransitionMatrix,
+                origination: OriginationVector) -> Portfolio:
+    """:func:`solve_ttc_direct` once sizes and primitivity are checked."""
     if tm.published is None:
-        w = _solve_unit_eigenvector(build_m_p(tm, origination))
+        w = _solve_unit_eigenvector(_m_p(tm.probs, origination.weights))
     else:
         w = _perron_vector(_m_p(tm.published, origination.weights))
     if (w < -1e-10).any():
@@ -233,8 +238,7 @@ def _perron_vector(m_p: np.ndarray) -> np.ndarray:
     return v / v.sum()
 
 
-def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
-                         require_primitive: bool) -> None:
+def _check_sizes(tm: TransitionMatrix, origination: OriginationVector) -> None:
     if origination.n != tm.n:
         raise InputError("dimension-mismatch",
                          f"matrix ({tm.n}) and origination ({origination.n}) "
@@ -242,6 +246,11 @@ def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
     if origination.weights[-1] != 0.0:
         raise InputError("origination-into-default",
                          "origination into the default grade must be 0")
+
+
+def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
+                         require_primitive: bool) -> None:
+    _check_sizes(tm, origination)
     if require_primitive and not is_primitive(tm.performing_block):
         pattern = _pattern_power(tm.performing_block > 0.0,
                                  _wielandt_exponent(tm.n - 1))
@@ -275,8 +284,7 @@ class PerronReport:
 
 
 def verify_perron_structure(tm: TransitionMatrix,
-                            origination: OriginationVector,
-                            power_iterations: int = 500) -> PerronReport:
+                            origination: OriginationVector) -> PerronReport:
     """Check the spectral facts the TTC solvers rely on.
 
     The checks run on :func:`build_m_p`, the propagation matrix of the
@@ -284,11 +292,9 @@ def verify_perron_structure(tm: TransitionMatrix,
     TTC portfolio is the Perron vector of the published-rate M_p instead.
     Reports (a) the column sums of the performing propagation matrix, which
     must all equal one, (b) the fixed-point residual of the directly solved
-    vector, and (c) a power-iteration estimate of the subdominant eigenvalue
-    modulus, taken on the zero-mass subspace that is invariant under a
-    column-stochastic matrix (this deflates the dominant eigenvector, whose
-    components carry the unit total mass).  Never raises; failures surface
-    as flags.
+    vector, and (c) lambda_2, the second-largest eigenvalue modulus of M_p
+    (0 for one performing grade), which must lie below one.  Raises only
+    for mismatched sizes (as :func:`build_m_p`); failed checks are flags.
     """
     m_p = build_m_p(tm, origination)
     col_sums = m_p.sum(axis=0)
@@ -298,7 +304,8 @@ def verify_perron_structure(tm: TransitionMatrix,
         residual = float(np.abs(m_p @ w - w).max())
     except PrimitivityError:
         residual = float("inf")
-    lam2 = _subdominant_modulus(m_p, power_iterations)
+    moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
+    lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
     return PerronReport(
         column_sums=col_sums,
         column_sums_ok=col_ok,
@@ -307,35 +314,3 @@ def verify_perron_structure(tm: TransitionMatrix,
         lambda2=lam2,
         lambda2_ok=lam2 < 1.0,
     )
-
-
-def _subdominant_modulus(m_p: np.ndarray, iterations: int) -> float:
-    """|lambda_2| by power iteration restricted to the zero-mass subspace.
-
-    Complex conjugate pairs make per-step growth oscillate, so the estimate
-    is the geometric mean of the growth factors over the trailing half of
-    the iterations.
-    """
-    m = m_p.shape[0]
-    if m == 1:
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m)
-    v -= v.mean()
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.zeros(m)
-        v[0], v[1] = 1.0, -1.0
-        norm = np.sqrt(2.0)
-    v /= norm
-    growth = []
-    for _ in range(iterations):
-        w = m_p @ v
-        w -= w.mean()
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0
-        growth.append(norm)
-        v = w / norm
-    tail = growth[len(growth) // 2:]
-    return float(np.exp(np.mean(np.log(tail))))

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -357,3 +360,49 @@ class TestNumericFlagValidation:
                            MIDGRADE, "--origination", ORIGINATION,
                            "--band", "-0.1", capsys=capsys)
         assert code == 3
+
+
+class TestValidateDirectSolve:
+    def test_json_gap_is_the_exact_lambda2(self, capsys):
+        code, out, _ = run("validate", "--matrix", MATRIX, "--portfolio",
+                           MIDGRADE, "--origination", ORIGINATION,
+                           "--format", "json", capsys=capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ttc"]["spectral_gap_estimate"] == doc["perron"]["lambda2"]
+        assert doc["ttc"]["iterations"] == 0
+        assert doc["ttc"]["final_step_delta"] <= 1e-14
+
+    def test_text_names_the_direct_solve(self, capsys):
+        _, out, _ = run("validate", "--matrix", MATRIX, "--portfolio",
+                        MIDGRADE, "--origination", ORIGINATION, capsys=capsys)
+        assert "TTC PD 1.198% (direct solve, one-step residual " in out
+
+    def test_tol_is_not_a_validate_option(self, capsys):
+        code, _, err = run("validate", "--matrix", MATRIX, "--portfolio",
+                           MIDGRADE, "--origination", ORIGINATION,
+                           "--tol", "1e-10", capsys=capsys)
+        assert code == 3
+        assert "--tol" in err
+
+
+class TestLazyScipy:
+    def test_validate_does_not_load_scipy(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+        script = (
+            "import contextlib, io, sys\n"
+            "import ttcstress\n"
+            "from ttcstress.cli import cli_dispatch\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli_dispatch(['validate', '--matrix', {MATRIX!r},\n"
+            f"                         '--portfolio', {MIDGRADE!r},\n"
+            f"                         '--origination', {ORIGINATION!r}])\n"
+            "assert code == 1, code\n"
+            "assert 'scipy' not in sys.modules\n")
+        src = str(Path(ts.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,8 @@ import pytest
 import ttcstress as ts
 from ttcstress.errors import InputError
 
-from conftest import counterexample_matrix
+from conftest import counterexample_matrix, random_portfolio, random_system
+from test_ttc import rounded_system
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +155,81 @@ class TestRunValidation:
     def test_bad_horizon_rejected(self, matrix8, origination8, ttc8):
         with pytest.raises(InputError):
             ts.run_validation(ttc8.w_ttc, matrix8, origination8, horizon=0)
+
+
+def _validation_systems():
+    rng = np.random.default_rng(20240)
+    systems = [random_system(rng, n) for n in (2, 3, 5, 8, 13, 21)]
+    systems += [rounded_system(rng, n) for n in (3, 5, 8, 13, 21)]
+    return systems
+
+
+class TestDirectSolveInValidation:
+    def test_ttc_matches_iterative_oracle_on_bundled_data(
+            self, matrix8, origination8, portfolios, ttc8):
+        report = ts.run_validation(portfolios["barbell"], matrix8,
+                                   origination8)
+        assert np.abs(report.ttc.w_ttc.weights
+                      - ttc8.w_ttc.weights).max() <= 1e-10
+        assert report.ttc.ttc_pd == pytest.approx(ttc8.ttc_pd, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_ttc_matches_iterative_oracle_on_seeded_systems(self, k):
+        tm, orig = _validation_systems()[k]
+        book = random_portfolio(np.random.default_rng(k), tm.n)
+        report = ts.run_validation(book, tm, orig)
+        oracle = ts.solve_ttc_iterative(tm, orig)
+        assert np.abs(report.ttc.w_ttc.weights
+                      - oracle.w_ttc.weights).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_no_iterations_and_a_fixed_point_of_the_step(self, k):
+        tm, orig = _validation_systems()[k]
+        report = ts.run_validation(ts.Portfolio(orig.weights), tm, orig)
+        assert report.ttc.iterations == 0
+        assert report.ttc.final_step_delta <= 1e-14
+        stepped, _ = ts.propagate_step(report.ttc.w_ttc, tm, orig)
+        assert report.ttc.final_step_delta == float(
+            np.abs(stepped.weights - report.ttc.w_ttc.weights).sum())
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_lambda2_is_the_exact_subdominant_modulus(self, k):
+        tm, orig = _validation_systems()[k]
+        report = ts.run_validation(ts.Portfolio(orig.weights), tm, orig)
+        moduli = np.sort(np.abs(np.linalg.eigvals(ts.build_m_p(tm, orig))))
+        expected = moduli[-2] if moduli.size > 1 else 0.0
+        assert report.perron.lambda2 == pytest.approx(expected, abs=1e-12)
+        assert report.ttc.spectral_gap_estimate == report.perron.lambda2
+
+    def test_bundled_lambda2_is_exact(self, matrix8, origination8, portfolios):
+        report = ts.run_validation(portfolios["midgrade"], matrix8,
+                                   origination8)
+        moduli = np.sort(np.abs(np.linalg.eigvals(
+            ts.build_m_p(matrix8, origination8))))
+        assert report.perron.lambda2 == pytest.approx(moduli[-2], abs=1e-12)
+
+    def test_primitivity_checked_once(self, monkeypatch, matrix8,
+                                      origination8, portfolios):
+        calls = []
+        real = ts.ttc.is_primitive
+
+        def counted(block):
+            calls.append(1)
+            return real(block)
+
+        monkeypatch.setattr(ts.ttc, "is_primitive", counted)
+        monkeypatch.setattr(ts.diagnostics, "is_primitive", counted)
+        ts.run_validation(portfolios["midgrade"], matrix8, origination8)
+        assert len(calls) == 1
+
+    def test_mismatched_origination_still_rejected(self, matrix8, ttc8):
+        orig = ts.OriginationVector([0.5, 0.5, 0.0])
+        with pytest.raises(InputError) as info:
+            ts.run_validation(ttc8.w_ttc, matrix8, orig)
+        assert info.value.code == "dimension-mismatch"
+
+    def test_mismatched_book_still_rejected(self, matrix8, origination8):
+        with pytest.raises(InputError) as info:
+            ts.run_validation(ts.Portfolio([0.5, 0.5, 0.0]), matrix8,
+                              origination8)
+        assert info.value.code == "dimension-mismatch"

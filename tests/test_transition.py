@@ -225,3 +225,39 @@ class TestExtremeStress:
     def test_deep_boom_eliminates_default_risk(self, matrix8):
         stressed = ts.stress_transition_matrix(matrix8, 0.99, 8.0)
         assert (stressed.default_column[:-1] == 0.0).all()
+
+
+class TestNegativeDustClamp:
+    """Rounding in Phi can leave a stressed tail a hair above the tail to
+    its left; the difference is then negative dust that must become an
+    exact zero, while a larger inversion is an error."""
+
+    ROW, COL = 3, 5  # stressed entry (grade 4 -> grade 6)
+
+    def _lift(self, monkeypatch, lift):
+        from ttcstress import transition
+        real = transition.std_normal_cdf
+
+        def lifted(x):
+            out = np.array(real(x))
+            # column k of Phi's output is the tail from grade k + 2 onward
+            out[..., self.ROW, self.COL] = (
+                out[..., self.ROW, self.COL - 1] + lift)
+            return out
+
+        monkeypatch.setattr(transition, "std_normal_cdf", lifted)
+
+    def test_dust_is_clamped_to_an_exact_zero(self, monkeypatch, matrix8):
+        plain = ts.stress_transition_matrix(matrix8, 0.2, -1.0)
+        assert plain.probs[self.ROW, self.COL] > 1e-6
+        self._lift(monkeypatch, 1e-15)
+        row = ts.stress_transition_matrix(matrix8, 0.2, -1.0).probs[self.ROW]
+        assert row[self.COL] == 0.0
+        assert (row >= 0.0).all()
+        assert row.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_larger_inversion_is_rejected(self, monkeypatch, matrix8):
+        self._lift(monkeypatch, 1e-9)
+        with pytest.raises(InputError) as info:
+            ts.stress_transition_matrix(matrix8, 0.2, -1.0)
+        assert info.value.code == "invalid-argument"
