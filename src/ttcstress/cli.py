@@ -322,6 +322,10 @@ def _cmd_propagate(args) -> int:
         raise InputError("invalid-argument", "horizon must be >= 1")
     z_path = _build_z_path(args, tm)
     path = project_path(portfolio, tm, origination, rho=args.rho, z_path=z_path)
+    if args.rho > 0.0 and 0 < np.count_nonzero(z_path) < z_path.size:
+        sys.stderr.write(f"{PROG}: warning: z = 0 means no stress, and the z "
+                         "path mixes it with stressed periods; the stressed "
+                         "matrix does not tend to the input one as z -> 0\n")
     report = detect_spurious_dynamics(path, band=args.band)
     csv_text = emit_path_csv(path)
     svg_text = emit_svg_chart(path, title="Average PD projection")

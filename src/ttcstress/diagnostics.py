@@ -200,7 +200,7 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
         )
     # build_m_p inside checks the matrix and origination sizes
     perron = verify_perron_structure(tm, origination)
-    w_ttc = _direct_ttc(tm, origination)
+    w_ttc = _direct_ttc(tm, origination, perron.fixed_vector)
     stepped, _ = propagate_step(w_ttc, tm, origination)
     ttc = TTCResult(
         w_ttc=w_ttc,

@@ -26,10 +26,11 @@ class PrimitivityError(TTCStressError):
     through-the-cycle portfolio, so the solvers refuse to run.
     """
 
-    def __init__(self, message: str, pattern=None):
+    def __init__(self, message: str, reason: str | None = None):
         super().__init__(message)
-        # Boolean reachability pattern at the tested exponent, for diagnostics.
-        self.pattern = pattern
+        # Why the block failed the graph test: the first unreachable grade
+        # pair or the period of its cycle (None for other failures).
+        self.reason = reason
 
 
 class ConvergenceError(TTCStressError, RuntimeError):

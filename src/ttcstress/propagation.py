@@ -7,6 +7,8 @@ that amount across performing grades, keeping total balance constant:
     W_next = migrate(W) restricted to performing grades
              + (defaulted flow) * origination mix
 
+The period is linear in W, so it is one vector-matrix product with a step
+matrix built ahead of time, whose last column yields the defaulted flow.
 A matrix whose rows were rounded (``TransitionMatrix.published`` is set)
 migrates the book under its published rates, which do not conserve
 balance exactly, so the book is rescaled to unit balance after each
@@ -107,38 +109,47 @@ class ProjectionPath:
         return Portfolio(self.portfolios[t - 1])
 
 
-def _step_raw(w: np.ndarray, probs: np.ndarray,
-              orig: np.ndarray) -> tuple[np.ndarray, float]:
-    migrated = w @ probs
-    flow = float(migrated[-1])
-    out = migrated.copy()
-    out[-1] = 0.0
-    out += flow * orig
-    return out, flow
-
-
-def _rescaled_step_matrix(published: np.ndarray,
-                          orig: np.ndarray) -> np.ndarray:
-    """(n, n + 2) matrix B for one period under published rates.
-
-    ``w @ B`` holds the migrated, written-off and re-originated book in its
-    first n entries, then the defaulted flow, then the book's total balance.
-    """
-    n = published.shape[0]
-    b = np.empty((n, n + 2))
-    b[:, :n] = published
-    b[:, n - 1] = 0.0
-    b[:, :n] += np.outer(published[:, -1], orig)
-    b[:, n] = published[:, -1]
-    b[:, n + 1] = b[:, :n].sum(axis=1)
+def _fill_step(b: np.ndarray, orig: np.ndarray) -> np.ndarray:
+    """Turn b[..., :n] = P (one matrix or a stack) into P's step matrix:
+    ``w @ b`` holds the migrated, written-off and re-originated book in its
+    first n entries and the defaulted flow in entry n.  An (n, n + 2) ``b``
+    also gets that book's total balance, to rescale it to unit balance."""
+    n = b.shape[-2]
+    b[..., n] = b[..., n - 1]
+    b[..., n - 1] = 0.0
+    b[..., :n] += b[..., n, None] * orig
+    if b.shape[-1] == n + 2:
+        b[..., n + 1] = b[..., :n].sum(axis=-1)
     return b
 
 
-def _step_rescaled(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """One period with B from :func:`_rescaled_step_matrix`, at unit balance."""
-    n = b.shape[0]
-    moved = w @ b
-    return moved[:n] / moved[n + 1], float(moved[n])
+def _step_matrix(tm: TransitionMatrix, orig: np.ndarray) -> np.ndarray:
+    """Step matrix of an unstressed period: on the published rates with a
+    balance column when ``tm`` was rounded, on ``tm.probs`` otherwise."""
+    probs = tm.probs if tm.published is None else tm.published
+    n = tm.n
+    b = np.empty((n, n + 1 + (tm.published is not None)))
+    b[:, :n] = probs
+    return _fill_step(b, orig)
+
+
+def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
+    """Move the book ``w`` through one period per step matrix of ``steps``.
+
+    Row t of ``out`` (at least n + 1 wide) gets the book after period t in
+    its first n entries, rescaled to unit balance by a step matrix with a
+    balance column, and the defaulted flow in entry n.  Returns the books.
+    """
+    n = w.size
+    books, moved = out[:, :n], out[:, :n + 1]
+    for t, b in enumerate(steps):
+        if b.shape[1] == n + 1:
+            np.matmul(w, b, out=moved[t])
+        else:
+            np.matmul(w, b, out=out[t])
+            out[t, :n] /= out[t, n + 1]
+        w = books[t]
+    return books
 
 
 def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
@@ -154,13 +165,10 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
         raise InputError("dimension-mismatch",
                          f"portfolio ({portfolio.n}), matrix ({tm.n}) and "
                          f"origination ({origination.n}) sizes must agree")
-    if tm.published is None:
-        out, flow = _step_raw(portfolio.weights, tm.probs, origination.weights)
-    else:
-        out, flow = _step_rescaled(
-            portfolio.weights,
-            _rescaled_step_matrix(tm.published, origination.weights))
-    return Portfolio(out), flow
+    b = _step_matrix(tm, origination.weights)
+    out = np.empty((1, b.shape[1]))
+    return (Portfolio(_propagate(portfolio.weights, (b,), out)[0]),
+            float(out[0, tm.n]))
 
 
 def average_pd(portfolio: Portfolio, tm: TransitionMatrix) -> float:
@@ -178,10 +186,10 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     """Propagate over a sequence of economy states.
 
     Each period stresses the matrix at z_t (z == 0 uses ``tm`` unchanged,
-    bit for bit) and applies one propagation step, the same as
+    bit for bit) and applies one propagation step, bit for bit the same as
     :func:`stress_transition_matrix` followed by :func:`propagate_step`;
-    all stressed periods are transformed together, on raw arrays.  The
-    recorded average PD uses the unstressed matrix throughout.
+    the step matrices of all stressed periods are built together, on raw
+    arrays.  The recorded average PD uses the unstressed matrix throughout.
     """
     z_arr = np.asarray(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -194,44 +202,33 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
                          f"origination ({origination.n}) sizes must agree")
     m = z_arr.size
     n = tm.n
-    states = np.empty((m, n))
-    flows = np.empty(m)
-    pds = np.empty(m)
     orig = origination.weights
     # z == 0 or rho == 0 means no stress; rho is checked only if z asks for it
     stressed_at = z_arr != 0.0
     if stressed_at.any():
         rho = _check_rho(rho)
         stressed_at &= rho > 0.0
+    unstressed = _step_matrix(tm, orig)
+    steps = [unstressed] * m
     if stressed_at.any():
-        # whole n x n matrices, so each step is propagate_step's product
-        stressed = np.zeros((int(stressed_at.sum()), n, n))
-        stressed[:, :-1] = _stressed_rows(tm, rho, z_arr[stressed_at])
-        stressed[:, -1, -1] = 1.0
-        if not np.isfinite(stressed).all():
+        # the step matrices of all stressed periods, built in one stack
+        stack = np.zeros((int(stressed_at.sum()), n, n + 1))
+        _stressed_rows(tm, rho, z_arr[stressed_at], out=stack[:, :-1, :n])
+        stack[:, -1, n - 1] = 1.0
+        if not np.isfinite(stack).all():
             raise InputError("invalid-argument",
                              "stressed transition matrix contains non-finite "
                              "entries")
-    rescaled = (None if tm.published is None
-                else _rescaled_step_matrix(tm.published, orig))
-    w = initial.weights
-    k = 0
-    for t in range(m):
-        if stressed_at[t]:
-            w, flow = _step_raw(w, stressed[k], orig)
-            k += 1
-        elif rescaled is None:
-            w, flow = _step_raw(w, tm.probs, orig)
-        else:
-            w, flow = _step_rescaled(w, rescaled)
-        states[t] = w
-        flows[t] = flow
-        pds[t] = float(w @ tm.default_column)
+        _fill_step(stack, orig)
+        for t, b in zip(np.flatnonzero(stressed_at), stack):
+            steps[t] = b
+    buf = np.empty((m, unstressed.shape[1]))
+    states = _propagate(initial.weights, steps, buf)
     return ProjectionPath(
         initial=initial,
         initial_pd=average_pd(initial, tm),
         z=z_arr.copy(),
         portfolios=states,
-        default_flows=flows,
-        avg_pds=pds,
+        default_flows=buf[:, n],
+        avg_pds=states @ tm.default_column,
     )

@@ -185,9 +185,10 @@ def pit_pd(p_ttc: float, rho: float, z: float) -> float:
     return std_normal_cdf(shifted)
 
 
-def _stressed_rows(tm: TransitionMatrix, rho: float,
-                   z: np.ndarray) -> np.ndarray:
-    """Stressed performing rows at each state z_k of ``z``, shape (m, n-1, n).
+def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write the stressed performing rows at each state z_k of ``z`` into
+    ``out``, of shape (m, n-1, n).
 
     The quantiles Phi^-1 of the cumulative tails do not depend on z, so they
     are taken once; every state then shares one Phi call.  ``rho`` must
@@ -204,14 +205,13 @@ def _stressed_rows(tm: TransitionMatrix, rho: float,
     stressed[:, :, 0] = 1.0
     stressed[:, :, n] = 0.0
     stressed[:, :, 1:n] = std_normal_cdf((q - shift) / scale)
-    rows = stressed[:, :, :-1] - stressed[:, :, 1:]
+    rows = np.subtract(stressed[:, :, :-1], stressed[:, :, 1:], out=out)
     # cancellation can leave harmless negative dust; anything larger is a bug
     if (rows < -_NEG_CLAMP).any():
         raise InputError("invalid-argument",
                          "stress transform produced a negative probability")
     rows[rows < 0.0] = 0.0
     rows /= rows.sum(axis=2, keepdims=True)
-    return rows
 
 
 def stress_transition_matrix(tm: TransitionMatrix, rho: float,
@@ -230,6 +230,6 @@ def stress_transition_matrix(tm: TransitionMatrix, rho: float,
     if rho == 0.0 or z == 0.0:
         return tm
     out = np.zeros((tm.n, tm.n))
-    out[:-1] = _stressed_rows(tm, rho, np.array([z]))[0]
+    _stressed_rows(tm, rho, np.array([z]), out=out[None, :-1])
     out[-1, -1] = 1.0
     return TransitionMatrix(out)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, PrimitivityError
-from .propagation import (OriginationVector, Portfolio, _rescaled_step_matrix,
-                          _step_raw, _step_rescaled, average_pd)
+from .propagation import (OriginationVector, Portfolio, _step_matrix,
+                          average_pd)
 from .transition import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -37,10 +37,11 @@ DEFAULT_MAX_ITER = 100_000
 def is_primitive(block) -> bool:
     """Whether a nonnegative square matrix is primitive.
 
-    Uses the Wielandt bound: an m x m nonnegative matrix is primitive if and
-    only if its (m^2 - 2m + 2)-th power is entrywise positive.  The check
-    runs on the boolean sparsity pattern with boolean matrix products, so no
-    numerical under- or overflow is possible.
+    A nonnegative matrix is primitive when some power of it is entrywise
+    positive: its graph (an edge i -> j for each positive entry) is
+    strongly connected and aperiodic.  The test runs on that graph, with one
+    product of 0/1 entries per breadth-first level, so no numerical under-
+    or overflow is possible.
     """
     arr = np.asarray(block, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -49,25 +50,40 @@ def is_primitive(block) -> bool:
         i, j = np.argwhere(arr < 0.0)[0]
         raise InputError("negative-entry",
                          f"negative entry at row {i + 1}, column {j + 1}")
-    pattern = _pattern_power(arr > 0.0, _wielandt_exponent(arr.shape[0]))
-    return bool(pattern.all())
+    return _primitivity_defect(arr > 0.0) is None
 
 
-def _wielandt_exponent(m: int) -> int:
-    return m * m - 2 * m + 2
+def _primitivity_defect(adj: np.ndarray) -> str | None:
+    """Why the graph with adjacency ``adj`` is not primitive, or None.
 
-
-def _pattern_power(pattern: np.ndarray, exponent: int) -> np.ndarray:
-    """Boolean matrix power by squaring (reachability in exactly k steps)."""
-    acc = None
-    base = pattern.astype(np.int64)
-    e = exponent
-    while e:
-        if e & 1:
-            acc = base.copy() if acc is None else ((acc @ base) > 0).astype(np.int64)
-        base = ((base @ base) > 0).astype(np.int64)
-        e >>= 1
-    return acc > 0
+    One breadth-first search runs on the graph and its reverse side by
+    side, from grade 1 in each: every grade must be reached in both.  The
+    period is then the gcd of level[i] + 1 - level[j] over all edges i -> j
+    (Denardo 1977; Jarvis & Shier 1999), and the graph is primitive when
+    it is 1.
+    """
+    m = adj.shape[0]
+    both = np.zeros((2 * m, 2 * m))
+    both[:m, :m] = adj
+    both[m:, m:] = adj.T
+    level = np.full(2 * m, -1)
+    level[::m] = 0  # grade 1 of the graph and of its reverse
+    front = level == 0
+    depth = 0
+    while front.any():
+        depth += 1
+        front = (front @ both > 0.0) & (level < 0)
+        level[front] = depth
+    missing = np.flatnonzero(level < 0)
+    if missing.size:
+        k = int(missing[0])
+        return (f"grade {k + 1} is unreachable from grade 1" if k < m
+                else f"grade 1 is unreachable from grade {k - m + 1}")
+    src, dst = np.nonzero(adj)
+    period = int(np.gcd.reduce(level[src] + 1 - level[dst]))
+    if period == 0:
+        return "grade 1 has no transition to itself"
+    return None if period == 1 else f"the grades cycle with period {period}"
 
 
 def build_m_p(tm: TransitionMatrix, origination: OriginationVector) -> np.ndarray:
@@ -135,24 +151,17 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     else:
         w = np.zeros(n)
         w[:-1] = 1.0 / (n - 1)
-    if tm.published is None:
-        step, args = _step_raw, (tm.probs, origination.weights)
-    else:
-        step = _step_rescaled
-        args = (_rescaled_step_matrix(tm.published, origination.weights),)
-    prev1 = w
-    prev2 = None
-    two_back = None
-    prev_delta = None
-    gap = 0.0
+    b = _step_matrix(tm, origination.weights)
+    rescale = b.shape[1] == n + 2
+    prev1, prev2, two_back, prev_delta, gap = w, None, None, None, 0.0
     for it in range(1, max_iter + 1):
-        w, _ = step(prev1, *args)
+        moved = prev1 @ b  # as in _propagate, without its per-call set-up
+        w = moved[:n] / moved[n + 1] if rescale else moved[:n]
         delta = float(np.abs(w - prev1).sum())
         if prev_delta is not None and prev_delta > 0.0:
             gap = delta / prev_delta
         if delta < tol:
-            w = w / w.sum()
-            result = Portfolio(w)
+            result = Portfolio(w / w.sum())
             return TTCResult(
                 w_ttc=result,
                 iterations=it,
@@ -160,10 +169,7 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
                 ttc_pd=average_pd(result, tm),
                 spectral_gap_estimate=gap,
             )
-        two_back = prev2
-        prev2 = prev1
-        prev1 = w
-        prev_delta = delta
+        two_back, prev2, prev1, prev_delta = prev2, prev1, w, delta
     cycle = (float("nan") if two_back is None
              else float(np.abs(w - two_back).sum()))
     hint = ("iterates repeat with period 2, the system is oscillating"
@@ -193,19 +199,22 @@ def solve_ttc_direct(tm: TransitionMatrix,
     return _direct_ttc(tm, origination)
 
 
-def _direct_ttc(tm: TransitionMatrix,
-                origination: OriginationVector) -> Portfolio:
-    """:func:`solve_ttc_direct` once sizes and primitivity are checked."""
-    if tm.published is None:
+def _direct_ttc(tm: TransitionMatrix, origination: OriginationVector,
+                solved: np.ndarray | None = None) -> Portfolio:
+    """:func:`solve_ttc_direct` once sizes and primitivity are checked;
+    ``solved`` is ``PerronReport.fixed_vector`` if the caller has it."""
+    if tm.published is not None:
+        w = _perron_vector(_m_p(tm.published, origination.weights))
+    elif solved is None:
         w = _solve_unit_eigenvector(_m_p(tm.probs, origination.weights))
     else:
-        w = _perron_vector(_m_p(tm.published, origination.weights))
+        w = solved
     if (w < -1e-10).any():
         raise PrimitivityError(
             "direct solve produced a significantly negative component; "
             "the performing block is not primitive or the inputs are "
             "inconsistent")
-    w[w < 0.0] = 0.0
+    w = np.where(w < 0.0, 0.0, w)
     w = w / w.sum()
     full = np.zeros(tm.n)
     full[:-1] = w
@@ -243,21 +252,16 @@ def _check_sizes(tm: TransitionMatrix, origination: OriginationVector) -> None:
         raise InputError("dimension-mismatch",
                          f"matrix ({tm.n}) and origination ({origination.n}) "
                          "sizes must agree")
-    if origination.weights[-1] != 0.0:
-        raise InputError("origination-into-default",
-                         "origination into the default grade must be 0")
 
 
 def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
                          require_primitive: bool) -> None:
     _check_sizes(tm, origination)
     if require_primitive and not is_primitive(tm.performing_block):
-        pattern = _pattern_power(tm.performing_block > 0.0,
-                                 _wielandt_exponent(tm.n - 1))
+        reason = _primitivity_defect(tm.performing_block > 0.0)
         raise PrimitivityError(
-            "performing-grade block is not primitive: some grade pairs stay "
-            "unreachable at the Wielandt exponent "
-            f"{_wielandt_exponent(tm.n - 1)}", pattern=pattern)
+            f"performing-grade block is not primitive: {reason}",
+            reason=reason)
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,8 @@ class PerronReport:
     rounded rows the TTC portfolio is instead the Perron vector of the
     published-rate M_p, so the residual is not that of the reported TTC
     (the two vectors are 1.6e-4 apart at grade 3 on the bundled data).
+    ``fixed_vector`` is the solved vector behind ``residual`` (None if
+    singular), the TTC portfolio of a matrix whose rows were not rounded.
     """
 
     column_sums: np.ndarray
@@ -277,6 +283,7 @@ class PerronReport:
     residual_ok: bool
     lambda2: float
     lambda2_ok: bool
+    fixed_vector: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
@@ -303,7 +310,7 @@ def verify_perron_structure(tm: TransitionMatrix,
         w = _solve_unit_eigenvector(m_p)
         residual = float(np.abs(m_p @ w - w).max())
     except PrimitivityError:
-        residual = float("inf")
+        w, residual = None, float("inf")
     moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
     return PerronReport(
@@ -313,4 +320,5 @@ def verify_perron_structure(tm: TransitionMatrix,
         residual_ok=residual <= 1e-10,
         lambda2=lam2,
         lambda2_ok=lam2 < 1.0,
+        fixed_vector=w,
     )
