@@ -50,7 +50,7 @@ def emit_svg_chart(path: ProjectionPath, title: str = "Average PD projection") -
         return _MARGIN_TOP + plot_h * (1.0 - (v - lo) / (hi - lo))
 
     points = " ".join(f"{_coord(sx(t))},{_coord(sy(v))}"
-                      for t, v in zip(periods, pct))
+                      for t, v in enumerate(pct.tolist()))
 
     i_min = int(np.argmin(pct))
     i_max = int(np.argmax(pct))

@@ -6,6 +6,7 @@ Exit codes: 0 clean pass, 1 validation warning (spurious dynamics flagged),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,10 @@ def _verdict_line(verdict: str) -> str:
     return f"verdict: \x1b[{color}m{verdict}\x1b[0m"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state between
+    calls, as defaults are immutable and help reads its width when printed."""
     parser = _Parser(
         prog=PROG,
         description="Transition-matrix stress engine with TTC-portfolio "
@@ -327,32 +331,29 @@ def _cmd_propagate(args) -> int:
                          "path mixes it with stressed periods; the stressed "
                          "matrix does not tend to the input one as z -> 0\n")
     report = detect_spurious_dynamics(path, band=args.band)
-    csv_text = emit_path_csv(path)
-    svg_text = emit_svg_chart(path, title="Average PD projection")
-    doc = _spurious_dict(report)
     out = _out_dir(args)
-    file_fmt = None if args.fmt == "text" else args.fmt
-    if out is not None:
-        if file_fmt in (None, "csv"):
-            _write(out, "path.csv", csv_text)
-        if file_fmt in (None, "svg"):
-            _write(out, "chart.svg", svg_text)
-        if file_fmt in (None, "json"):
-            _write(out, "path.json", _json_text(doc))
-    if args.fmt == "json":
-        sys.stdout.write(_json_text(doc))
-    elif args.fmt == "csv":
-        sys.stdout.write(csv_text)
-    elif args.fmt == "svg":
-        sys.stdout.write(svg_text)
-    else:
+    chosen = None if args.fmt == "text" else args.fmt
+    # build only what is written or printed: the one format asked for, or
+    # every file when --out-dir is given without one
+    for kind, name in (("csv", "path.csv"), ("svg", "chart.svg"),
+                       ("json", "path.json")):
+        if chosen not in (None, kind) or (chosen is None and out is None):
+            continue
+        text = (emit_path_csv(path) if kind == "csv" else
+                emit_svg_chart(path, title="Average PD projection")
+                if kind == "svg" else _json_text(_spurious_dict(report)))
+        if out is not None:
+            _write(out, name, text)
+        if chosen is not None:
+            sys.stdout.write(text)
+    if chosen is None:
         s = report
         print(f"projected {path.periods} periods, initial PD "
               f"{_pct(path.initial_pd)}, terminal PD {_pct(s.terminal_pd)}")
         print(f"min {_pct(s.min_pd)} at t={s.min_period}, "
               f"max {_pct(s.max_pd)} at t={s.max_period}")
         print(f"classification: {s.classification}")
-        if out is not None and file_fmt is None:
+        if out is not None:
             print(f"wrote path.csv, chart.svg, path.json to {out}")
     return 1 if report.spurious else 0
 

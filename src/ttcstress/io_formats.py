@@ -162,12 +162,13 @@ def emit_path_csv(path: ProjectionPath) -> str:
     """Serialize a projection path, one row per propagated period."""
     n = path.initial.n
     header = ",".join(PATH_HEADER_FIXED + tuple(f"w_{i + 1}" for i in range(n)))
+    # repr of a tolist() float is fmt of the float64 it came from
+    rows = zip(path.z.tolist(), path.avg_pds.tolist(),
+               path.default_flows.tolist(), path.portfolios.tolist())
     lines = [header]
-    for t in range(path.periods):
-        cells = [str(t + 1), fmt(path.z[t]), fmt(path.avg_pds[t]),
-                 fmt(path.default_flows[t])]
-        cells.extend(fmt(w) for w in path.portfolios[t])
-        lines.append(",".join(cells))
+    for t, (z, pd, flow, weights) in enumerate(rows, start=1):
+        lines.append(",".join([str(t), repr(z), repr(pd), repr(flow),
+                               *map(repr, weights)]))
     return "\n".join(lines) + "\n"
 
 
@@ -214,5 +215,5 @@ def parse_path_csv(text: str) -> PathTable:
 
 def emit_matrix_csv(tm: TransitionMatrix) -> str:
     """Serialize a transition matrix as a plain numeric CSV."""
-    lines = [",".join(fmt(x) for x in row) for row in tm.probs]
+    lines = [",".join(map(repr, row)) for row in tm.probs.tolist()]
     return "\n".join(lines) + "\n"

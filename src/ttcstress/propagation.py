@@ -152,6 +152,14 @@ def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
     return books
 
 
+def _check_sizes(portfolio: Portfolio, tm: TransitionMatrix,
+                 origination: OriginationVector) -> None:
+    if portfolio.n != tm.n or origination.n != tm.n:
+        raise InputError("dimension-mismatch",
+                         f"portfolio ({portfolio.n}), matrix ({tm.n}) and "
+                         f"origination ({origination.n}) sizes must agree")
+
+
 def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
                    origination: OriginationVector) -> tuple[Portfolio, float]:
     """One propagation period under ``tm``.
@@ -161,10 +169,7 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
     balance flow of the period.  A matrix with rounded rows moves the book
     under its published rates and rescales the result to unit balance.
     """
-    if portfolio.n != tm.n or origination.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         f"portfolio ({portfolio.n}), matrix ({tm.n}) and "
-                         f"origination ({origination.n}) sizes must agree")
+    _check_sizes(portfolio, tm, origination)
     b = _step_matrix(tm, origination.weights)
     out = np.empty((1, b.shape[1]))
     return (Portfolio(_propagate(portfolio.weights, (b,), out)[0]),
@@ -196,10 +201,7 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
         raise InputError("shape", "z path must be a non-empty vector")
     if not np.isfinite(z_arr).all():
         raise InputError("invalid-argument", "z path contains non-finite entries")
-    if initial.n != tm.n or origination.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         f"portfolio ({initial.n}), matrix ({tm.n}) and "
-                         f"origination ({origination.n}) sizes must agree")
+    _check_sizes(initial, tm, origination)
     m = z_arr.size
     n = tm.n
     orig = origination.weights

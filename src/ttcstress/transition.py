@@ -47,29 +47,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputError("shape", "transition matrix must be square")
-        if arr.shape[0] < 2:
-            raise InputError("shape", "need at least two rating grades")
-        if not np.isfinite(arr).all():
-            raise InputError("invalid-argument",
-                             "transition matrix contains non-finite entries")
-        if (arr < 0.0).any():
-            i, j = np.argwhere(arr < 0.0)[0]
-            raise InputError("negative-entry",
-                             f"negative probability at row {i + 1}, column {j + 1}")
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > _STRICT_ROW_TOL
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InputError("row-sum",
-                             f"row {i + 1} sums to {sums[i]!r}, expected 1 "
-                             f"within {_STRICT_ROW_TOL}")
-        last = arr[-1]
-        if last[-1] != 1.0 or (last[:-1] != 0.0).any():
-            raise InputError("absorbing-row",
-                             f"row {arr.shape[0]} must be (0, ..., 0, 1): "
-                             "the default grade is absorbing")
+        _check_rates(arr, _STRICT_ROW_TOL, raw=False)
         object.__setattr__(self, "probs", arr)
         if self.published is not None:
             object.__setattr__(self, "published",
@@ -88,6 +66,41 @@ class TransitionMatrix:
     def default_column(self) -> np.ndarray:
         """One-period default probability per grade (grade n maps to 1)."""
         return self.probs[:, -1]
+
+
+def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
+    """Reject a would-be transition matrix at its first failed check, in
+    this order: square with two grades or more, finite, nonnegative, rows
+    summing to one within ``tol``, absorbing last row.  Returns the row
+    sums.  ``raw`` input gets :func:`validate_transition_matrix`'s messages:
+    the non-finite entry is located and the row-sum bound is ``tol``."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InputError("shape", "transition matrix must be square")
+    if arr.shape[0] < 2:
+        raise InputError("shape", "need at least two rating grades")
+    if not np.isfinite(arr).all():
+        if not raw:
+            raise InputError("invalid-argument",
+                             "transition matrix contains non-finite entries")
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise InputError("invalid-argument",
+                         f"non-finite entry at row {i + 1}, column {j + 1}")
+    if (arr < 0.0).any():
+        i, j = np.argwhere(arr < 0.0)[0]
+        raise InputError("negative-entry",
+                         f"negative probability at row {i + 1}, column {j + 1}")
+    sums = arr.sum(axis=1)
+    bad = np.abs(sums - 1.0) > tol
+    if bad.any():
+        i = int(np.argmax(bad))
+        bound = f"outside 1 +- {tol}" if raw else f"expected 1 within {tol}"
+        raise InputError("row-sum", f"row {i + 1} sums to {sums[i]!r}, {bound}")
+    last = arr[-1]
+    if last[-1] != 1.0 or (last[:-1] != 0.0).any():
+        raise InputError("absorbing-row",
+                         f"row {arr.shape[0]} must be (0, ..., 0, 1): "
+                         "the default grade is absorbing")
+    return sums
 
 
 def _check_published(raw, probs: np.ndarray) -> np.ndarray:
@@ -117,29 +130,7 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     ``published`` is None.
     """
     arr = np.array(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("shape", "transition matrix must be square")
-    if arr.shape[0] < 2:
-        raise InputError("shape", "need at least two rating grades")
-    if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise InputError("invalid-argument",
-                         f"non-finite entry at row {i + 1}, column {j + 1}")
-    if (arr < 0.0).any():
-        i, j = np.argwhere(arr < 0.0)[0]
-        raise InputError("negative-entry",
-                         f"negative probability at row {i + 1}, column {j + 1}")
-    sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InputError("row-sum",
-                         f"row {i + 1} sums to {sums[i]!r}, outside 1 +- {tol}")
-    last = arr[-1]
-    if last[-1] != 1.0 or (last[:-1] != 0.0).any():
-        raise InputError("absorbing-row",
-                         f"row {arr.shape[0]} must be (0, ..., 0, 1): "
-                         "the default grade is absorbing")
+    sums = _check_rates(arr, tol, raw=True)
     # rescale only rows that need it, so already-valid matrices pass through
     # bit for bit (parse/emit round trips stay exact)
     needs = np.abs(sums - 1.0) > _STRICT_ROW_TOL

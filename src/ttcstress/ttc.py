@@ -108,7 +108,9 @@ class TTCResult:
 
     ``run_validation`` solves directly: ``iterations`` is 0,
     ``final_step_delta`` is the L1 change one propagation step makes to the
-    portfolio and ``spectral_gap_estimate`` is the exact lambda_2.
+    portfolio and ``spectral_gap_estimate`` is the exact lambda_2.  From
+    :func:`solve_ttc_iterative` it is a noisy ratio of two rounding-level
+    deltas; :attr:`PerronReport.lambda2` is the exact figure.
     """
 
     w_ttc: Portfolio
@@ -128,9 +130,10 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     Starts from the uniform mix over performing grades (any ``initial``
     portfolio converges to the same fixed point on a primitive system) and
     applies the propagation step until the L1 change between iterates drops
-    below ``tol``.  ``spectral_gap_estimate`` is the last observed ratio of
-    successive L1 deltas, an empirical stand-in for the subdominant
-    eigenvalue modulus that governs the convergence rate.  The step is
+    below ``tol``.  ``spectral_gap_estimate`` is the ratio of the last two
+    L1 deltas, taken near ``tol`` where rounding dominates: 0.9402954 on the
+    bundled data against the exact lambda_2 0.9403729 that ``validate``
+    reports as ``perron.lambda2``.  The step is
     :func:`~ttcstress.propagation.propagate_step`'s, so a matrix with
     rounded rows iterates on its published rates at unit balance.
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ttcstress import charts as c
+
 
 def wielandt_exponent(m: int) -> int:
     return m * m - 2 * m + 2
@@ -26,3 +28,42 @@ def wielandt_primitive(block) -> bool:
     if its (m^2 - 2m + 2)-th power is entrywise positive."""
     arr = np.asarray(block, dtype=float)
     return bool(pattern_power(arr > 0.0, wielandt_exponent(arr.shape[0])).all())
+
+
+def path_csv_per_element(path) -> str:
+    """``emit_path_csv`` formatting one numpy scalar at a time."""
+    n = path.initial.n
+    lines = [",".join(("period", "z", "avg_pd", "default_flow")
+                      + tuple(f"w_{i + 1}" for i in range(n)))]
+    for t in range(path.periods):
+        cells = [str(t + 1), repr(float(path.z[t])),
+                 repr(float(path.avg_pds[t])),
+                 repr(float(path.default_flows[t]))]
+        cells.extend(repr(float(w)) for w in path.portfolios[t])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_csv_per_element(probs) -> str:
+    """``emit_matrix_csv`` formatting one numpy scalar at a time."""
+    return "\n".join(",".join(repr(float(x)) for x in row)
+                     for row in probs) + "\n"
+
+
+def svg_polyline_numpy(path) -> str:
+    """The points of ``emit_svg_chart``'s polyline, scaled and formatted
+    from numpy scalars."""
+    pds = path.pd_series()
+    periods = np.arange(pds.size)
+    pct = pds * 100.0
+    lo, hi = float(pct.min()), float(pct.max())
+    pad = (max(abs(hi) * 0.05, 1e-6) if hi - lo < 1e-12
+           else (hi - lo) * 0.08)
+    lo, hi = lo - pad, hi + pad
+    plot_w = c._WIDTH - c._MARGIN_LEFT - c._MARGIN_RIGHT
+    plot_h = c._HEIGHT - c._MARGIN_TOP - c._MARGIN_BOTTOM
+    x_span = max(float(periods[-1]), 1.0)
+    return " ".join(
+        f"{c._MARGIN_LEFT + plot_w * (t / x_span):.2f},"
+        f"{c._MARGIN_TOP + plot_h * (1.0 - (v - lo) / (hi - lo)):.2f}"
+        for t, v in zip(periods, pct))

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ttcstress as ts
-from ttcstress.cli import cli_dispatch
+from ttcstress import cli
+from ttcstress.cli import build_parser, cli_dispatch
 
 from conftest import DATA
 
@@ -406,3 +410,109 @@ class TestLazyScipy:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+
+
+def tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # no argument value may carry over from one call to the next
+        book = ["--matrix", MATRIX, "--portfolio", MIDGRADE,
+                "--origination", ORIGINATION]
+        sequence = [
+            ["validate", *book, "--out-dir", "validated"],
+            ["ttc", "--matrix", MATRIX, "--origination", ORIGINATION,
+             "--format", "json"],
+            ["propagate", *book, "--z", "-1", "--rho", "0.2",
+             "--out-dir", "stressed"],
+            ["propagate", *book, "--out-dir", "plain"],
+            ["validate", *book, "--tol", "1"],
+            ["--help"],
+            ["--help"],
+            ["propagate", *book, "--scenario", SCENARIO, "--lag", "1",
+             "--rho", "0.05", "--format", "csv", "--out-dir", "scenario"],
+            ["stress-matrix", "--matrix", MATRIX, "--rho", "0.2", "--z", "-1"],
+            ["fit-macro", "--scenario", SCENARIO, "--lag", "1",
+             "--format", "json"],
+            ["diagnose", "--path", "plain/path.csv"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps at this width
+        inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+        inproc.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(inproc)
+        got = [run(*argv, capsys=capsys) for argv in sequence]
+        src = str(Path(ts.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, result in zip(sequence, got):
+            proc = subprocess.run([sys.executable, "-m", "ttcstress", *argv],
+                                  capture_output=True, text=True, cwd=fresh,
+                                  env=env)
+            assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert [code for code, _, _ in got] == [1, 0, 1, 1, 3, 0, 0, 1, 0, 0,
+                                                1]
+        assert tree(inproc) == tree(fresh)
+        assert set(tree(inproc)) == {
+            "validated/report.json", "validated/path.csv",
+            "validated/chart.svg", "scenario/path.csv",
+            *(f"{d}/{f}" for d in ("stressed", "plain")
+              for f in ("path.csv", "chart.svg", "path.json"))}
+
+
+class TestLazyEmission:
+    PROPAGATE = ("propagate", "--matrix", MATRIX, "--portfolio", BARBELL,
+                 "--origination", ORIGINATION)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The strings each emitter returned, by emitter."""
+        texts = {"csv": [], "svg": []}
+
+        def counting(kind, emit):
+            def wrapper(*args, **kwargs):
+                texts[kind].append(emit(*args, **kwargs))
+                return texts[kind][-1]
+            return wrapper
+
+        monkeypatch.setattr(cli, "emit_path_csv",
+                            counting("csv", cli.emit_path_csv))
+        monkeypatch.setattr(cli, "emit_svg_chart",
+                            counting("svg", cli.emit_svg_chart))
+        return texts
+
+    @pytest.mark.parametrize("fmt, calls", [
+        (None, (0, 0)), ("text", (0, 0)), ("json", (0, 0)),
+        ("csv", (1, 0)), ("svg", (0, 1)),
+    ])
+    def test_without_out_dir_builds_only_what_it_prints(self, built, capsys,
+                                                        fmt, calls):
+        extra = ("--format", fmt) if fmt else ()
+        code, out, _ = run(*self.PROPAGATE, *extra, capsys=capsys)
+        assert code == 1
+        assert (len(built["csv"]), len(built["svg"])) == calls
+        if fmt in ("csv", "svg"):
+            assert out == built[fmt][0]
+
+    @pytest.mark.parametrize("fmt, calls", [
+        (None, (1, 1)), ("text", (1, 1)), ("json", (0, 0)),
+        ("csv", (1, 0)), ("svg", (0, 1)),
+    ])
+    def test_out_dir_builds_each_file_once(self, built, tmp_path, capsys,
+                                           fmt, calls):
+        extra = ("--format", fmt) if fmt else ()
+        code, _, _ = run(*self.PROPAGATE, *extra, "--out-dir", str(tmp_path),
+                         capsys=capsys)
+        assert code == 1
+        assert (len(built["csv"]), len(built["svg"])) == calls
+        for kind, name in (("csv", "path.csv"), ("svg", "chart.svg")):
+            if built[kind]:
+                assert ((tmp_path / name).read_bytes()
+                        == built[kind][0].encode("utf-8"))
+            else:
+                assert not (tmp_path / name).exists()

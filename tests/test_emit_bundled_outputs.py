@@ -1,0 +1,63 @@
+"""Smoke test of scripts/emit_bundled_outputs.py: two runs compare as
+byte-identical under scripts/compare_outputs.py, with every expected file."""
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ttcstress as ts
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_outputs = load("compare_outputs")
+emit_bundled_outputs = load("emit_bundled_outputs")
+
+
+# files each command writes under --out-dir; propagate writes by --format
+OUT_FILES = {"validate": {"report.json", "path.csv", "chart.svg"},
+             "ttc": {"ttc.json"}, "stress-matrix": {"stressed_matrix.csv"},
+             "fit-macro": {"macro_model.json"},
+             "diagnose": {"diagnosis.json"}}
+PROPAGATE_FILES = {"csv": {"path.csv"}, "svg": {"chart.svg"},
+                   "json": {"path.json"}}
+
+
+def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
+    src = str(Path(ts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for side in ("a", "b"):
+        proc = subprocess.run([sys.executable,
+                               str(SCRIPTS / "emit_bundled_outputs.py"),
+                               str(tmp_path / side)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert "only in" not in capsys.readouterr().out
+
+    expected = set()
+    for rel, argv in emit_bundled_outputs.calls():
+        expected |= {f"{rel}/{name}"
+                     for name in ("stdout.txt", "stderr.txt", "exit_code.txt")}
+        if "--out-dir" in argv:
+            variant = rel.rsplit("/", 1)[1]
+            names = OUT_FILES.get(argv[0]) or PROPAGATE_FILES.get(
+                variant, {"path.csv", "chart.svg", "path.json"})
+            expected |= {f"{rel}/out/{name}" for name in names}
+    root = tmp_path / "a"
+    assert {str(p.relative_to(root)) for p in root.rglob("*")
+            if p.is_file()} == expected
+    codes = {rel: (root / rel / "exit_code.txt").read_text()
+             for rel in ("help/top", "usage-error/validate-tol",
+                         "diagnose/json", "propagate-seasoned-z0/bare")}
+    assert codes == {"help/top": "0\n", "usage-error/validate-tol": "3\n",
+                     "diagnose/json": "1\n",
+                     "propagate-seasoned-z0/bare": "0\n"}

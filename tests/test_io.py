@@ -4,6 +4,10 @@ import pytest
 import ttcstress as ts
 from ttcstress.errors import InputError
 from ttcstress.io_formats import PathTable, fmt
+from ttcstress.propagation import ProjectionPath
+
+import oracles
+from conftest import random_portfolio, random_system
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +225,50 @@ class TestDegenerateChart:
         svg = ts.emit_svg_chart(path)
         assert "<polyline" in svg
         assert "NaN" not in svg and "nan" not in svg
+
+
+class TestFormattingMatchesPerElementOracle:
+    """The emitters format ``tolist()`` floats; the oracles format numpy
+    scalars one by one, as the emitters once did.  Strings must agree."""
+
+    SPECIAL = (-0.0, 5e-324, 1e-300, 1e16, 1.0, 0.0)
+
+    @staticmethod
+    def check(path):
+        assert ts.emit_path_csv(path) == oracles.path_csv_per_element(path)
+        svg = ts.emit_svg_chart(path)
+        points = svg.split('points="')[1].split('"')[0]
+        assert points == oracles.svg_polyline_numpy(path)
+
+    def test_seeded_paths(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            tm, orig = random_system(rng, n)
+            m = int(rng.integers(1, 40))
+            z = rng.uniform(-1e3, 1e3, m) * rng.choice([1e-3, 1e-1, 1.0], m)
+            z[rng.random(m) < 0.3] = 0.0
+            rho = float(rng.uniform(0.0, 0.9))
+            path = ts.project_path(random_portfolio(rng, n), tm, orig, rho, z)
+            self.check(path)
+            stressed = ts.stress_transition_matrix(tm, rho, float(z[0]))
+            for matrix in (tm, stressed):
+                assert (ts.emit_matrix_csv(matrix)
+                        == oracles.matrix_csv_per_element(matrix.probs))
+
+    def test_hand_made_values(self):
+        m = len(self.SPECIAL)
+        values = np.array(self.SPECIAL)
+        path = ProjectionPath(
+            initial=ts.Portfolio(np.eye(m)[0]), initial_pd=0.5,
+            z=values[::-1].copy(), avg_pds=values,
+            default_flows=np.roll(values, 2),
+            portfolios=np.array([np.roll(values, k) for k in range(m)]))
+        self.check(path)
+        tm = ts.TransitionMatrix(np.array([[-0.0, 5e-324, 1e-300, 1.0],
+                                           [0.25, 0.25, 0.5, 0.0],
+                                           [0.1, 0.2, 0.3, 0.4],
+                                           [0.0, 0.0, 0.0, 1.0]]))
+        text = ts.emit_matrix_csv(tm)
+        assert text == oracles.matrix_csv_per_element(tm.probs)
+        assert text.startswith("-0.0,5e-324,1e-300,1.0\n")

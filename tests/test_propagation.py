@@ -83,6 +83,21 @@ class TestPropagateStep:
             ts.propagate_step(ts.Portfolio([0.5, 0.5, 0.0]), matrix8, orig)
         assert err.value.code == "dimension-mismatch"
 
+    def test_project_path_shares_the_size_check(self, three_grade, matrix8):
+        _, orig = three_grade
+        book = ts.Portfolio([0.5, 0.5, 0.0])
+        message = ("portfolio (3), matrix (8) and origination (3) sizes "
+                   "must agree")
+        for call in (lambda: ts.propagate_step(book, matrix8, orig),
+                     lambda: ts.project_path(book, matrix8, orig, 0.2, [-1.0])):
+            with pytest.raises(InputError) as err:
+                call()
+            assert (err.value.code, str(err.value)) == ("dimension-mismatch",
+                                                        message)
+        with pytest.raises(InputError) as err:  # the z path is checked first
+            ts.project_path(book, matrix8, orig, 0.2, [np.nan])
+        assert err.value.code == "invalid-argument"
+
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=1.0),
            seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -81,6 +81,49 @@ class TestValidation:
         assert err.value.code == "invalid-argument"
 
 
+class TestCheckOrder:
+    """Each input fails at its first failed check, in this order: shape,
+    finite, sign, row sum, absorbing row.  ``TransitionMatrix`` and
+    ``validate_transition_matrix`` word the finite and row-sum checks
+    differently."""
+
+    ABSORBING = "row 2 must be (0, ..., 0, 1): the default grade is absorbing"
+    # the row sum is printed as the repr of a numpy scalar
+    SUM_11 = repr(np.array([0.5, 0.6]).sum())
+    SUM_1E7 = repr(np.array([0.5, 0.5000001]).sum())
+
+    @pytest.mark.parametrize("raw, code, direct, validated", [
+        ([[np.nan, -1.0, 2.0]], "shape", "transition matrix must be square",
+         None),
+        ([[np.nan]], "shape", "need at least two rating grades", None),
+        ([[0.5, 0.5], [np.inf, np.nan]], "invalid-argument",
+         "transition matrix contains non-finite entries",
+         "non-finite entry at row 2, column 1"),
+        ([[0.5, -np.inf], [-1.0, 3.0]], "invalid-argument",
+         "transition matrix contains non-finite entries",
+         "non-finite entry at row 1, column 2"),
+        ([[1.5, -0.5], [0.5, 0.7]], "negative-entry",
+         "negative probability at row 1, column 2", None),
+        ([[0.5, 0.6], [0.1, 0.9]], "row-sum",
+         f"row 1 sums to {SUM_11}, expected 1 within 1e-12",
+         f"row 1 sums to {SUM_11}, outside 1 +- 1e-06"),
+        ([[0.5, 0.5000001], [0.1, 0.9]], "row-sum",
+         f"row 1 sums to {SUM_1E7}, expected 1 within 1e-12", ABSORBING),
+        ([[0.9, 0.1], [0.1, 0.9]], "absorbing-row", ABSORBING, None),
+    ])
+    def test_first_failed_check(self, raw, code, direct, validated):
+        arr = np.array(raw)
+        with pytest.raises(InputError) as err:
+            ts.TransitionMatrix(arr)
+        assert (err.value.code, str(err.value)) == (code, direct)
+        with pytest.raises(InputError) as err:
+            ts.validate_transition_matrix(arr)
+        expected = direct if validated is None else validated
+        assert str(err.value) == expected
+        assert err.value.code == ("absorbing-row" if expected == self.ABSORBING
+                                  else code)
+
+
 class TestPitPd:
     def test_zero_state_is_identity(self):
         assert ts.pit_pd(0.03, rho=0.2, z=0.0) == 0.03
