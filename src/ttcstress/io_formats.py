@@ -104,7 +104,7 @@ def parse_vector_csv(text: str, kind: str,
     total = values.sum()
     if abs(total - 1.0) > tol:
         raise InputError("weight-sum",
-                         f"weights sum to {total!r}, outside 1 +- {tol}")
+                         f"weights sum to {float(total)!r}, outside 1 +- {tol}")
     if kind == "origination" and values[-1] != 0.0:
         raise InputError("origination-into-default",
                          "origination into the default grade must be 0")

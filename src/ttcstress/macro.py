@@ -94,7 +94,16 @@ class MacroModel:
         if row.ndim != 1 or row.size != self.n_vars:
             raise InputError("dimension-mismatch",
                              f"expected {self.n_vars} macro values, got {row.size}")
-        return float(self.betas[0] + self.betas[1:] @ row)
+        return float(self._predictors(row[None])[0])
+
+    def _predictors(self, rows: np.ndarray) -> np.ndarray:
+        """Linear predictor of every row of a (count, k) stack.
+
+        One (1, k) @ (k, 1) product per row, so a row's value does not
+        depend on the rows stacked with it (a flat (count, k) @ (k,)
+        product or einsum groups the sums differently).
+        """
+        return self.betas[0] + (rows[:, None, :] @ self.betas[1:, None])[:, 0, 0]
 
 
 def _probits(series: CreditIndexSeries) -> np.ndarray:
@@ -222,7 +231,5 @@ def economy_state_path(model: MacroModel, scenario: MacroScenario) -> np.ndarray
     if count == 0:
         return np.array([])
     probit_p, scale, sqrt_rho = _probit_inversion(model)
-    # one dot per row: a batched product rounds differently
-    predictors = np.array([model.linear_predictor(row)
-                           for row in scenario.values[:count]])
+    predictors = model._predictors(scenario.values[:count])
     return (probit_p - scale * predictors) / sqrt_rho

@@ -39,7 +39,8 @@ def _check_weights(values, what: str) -> np.ndarray:
     total = arr.sum()
     if abs(total - 1.0) > _SUM_TOL:
         raise InputError("weight-sum",
-                         f"{what} sums to {total!r}, expected 1 within {_SUM_TOL}")
+                         f"{what} sums to {float(total)!r}, "
+                         f"expected 1 within {_SUM_TOL}")
     return arr
 
 
@@ -144,9 +145,9 @@ def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
     books, moved = out[:, :n], out[:, :n + 1]
     for t, b in enumerate(steps):
         if b.shape[1] == n + 1:
-            np.matmul(w, b, out=moved[t])
+            np.dot(w, b, out=moved[t])
         else:
-            np.matmul(w, b, out=out[t])
+            np.dot(w, b, out=out[t])
             out[t, :n] /= out[t, n + 1]
         w = books[t]
     return books

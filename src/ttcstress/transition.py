@@ -9,7 +9,9 @@ the one-factor quantile shift
 so that negative economy states z push probability mass toward worse grades.
 ``z == 0`` (or ``rho == 0``) is treated as "no stress" and returns the input
 matrix unchanged.  Phi^-1 of the tails is taken once per matrix, and all the
-stressed states of a path share one Phi call.
+stressed states of a path share one Phi call.  Both run once per distinct
+tail: a tail equal to its left neighbour (a zero entry of the row) has the
+same stressed value, so it is copied rather than evaluated again.
 """
 from __future__ import annotations
 
@@ -94,7 +96,8 @@ def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         bound = f"outside 1 +- {tol}" if raw else f"expected 1 within {tol}"
-        raise InputError("row-sum", f"row {i + 1} sums to {sums[i]!r}, {bound}")
+        raise InputError("row-sum",
+                         f"row {i + 1} sums to {float(sums[i])!r}, {bound}")
     last = arr[-1]
     if last[-1] != 1.0 or (last[:-1] != 0.0).any():
         raise InputError("absorbing-row",
@@ -182,20 +185,29 @@ def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
     ``out``, of shape (m, n-1, n).
 
     The quantiles Phi^-1 of the cumulative tails do not depend on z, so they
-    are taken once; every state then shares one Phi call.  ``rho`` must
-    already be checked and nonzero, and every z_k finite and nonzero.
+    are taken once; every state then shares one Phi call.  Within a row, a
+    tail equal to its left neighbour (a zero entry, or one lost to
+    rounding) gets the same Phi value bit for bit, so both calls see only
+    the distinct tails, and each repeat is gathered back from the last
+    distinct tail to its left.
+    ``rho`` must already be checked and nonzero, and every z_k finite and
+    nonzero.
     """
     p = tm.probs
     n = tm.n
-    # tails[:, k] = sum of row entries from column k to the end (k = 0..n-1)
-    tails = np.cumsum(p[:-1, ::-1], axis=1)[:, ::-1]
-    q = std_normal_inv_cdf(np.clip(tails[:, 1:], 0.0, 1.0))
-    shift = np.sqrt(rho) * z[:, None, None]
+    # tails[:, k] = sum of row entries from column k + 1 to the end
+    tails = np.clip(np.cumsum(p[:-1, ::-1], axis=1)[:, -2::-1], 0.0, 1.0)
+    new = np.empty(tails.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(tails[:, 1:], tails[:, :-1], out=new[:, 1:])
+    q = std_normal_inv_cdf(tails[new])
+    shift = np.sqrt(rho) * z[:, None]
     scale = np.sqrt(1.0 - rho)
+    vals = std_normal_cdf((q - shift) / scale)
     stressed = np.empty((z.size, n - 1, n + 1))
     stressed[:, :, 0] = 1.0
     stressed[:, :, n] = 0.0
-    stressed[:, :, 1:n] = std_normal_cdf((q - shift) / scale)
+    stressed[:, :, 1:n] = vals[:, np.cumsum(new).reshape(tails.shape) - 1]
     rows = np.subtract(stressed[:, :, :-1], stressed[:, :, 1:], out=out)
     # cancellation can leave harmless negative dust; anything larger is a bug
     if (rows < -_NEG_CLAMP).any():

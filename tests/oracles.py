@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from ttcstress import charts as c
+from ttcstress.errors import InputError
+from ttcstress.normal import std_normal_cdf, std_normal_inv_cdf
 
 
 def wielandt_exponent(m: int) -> int:
@@ -28,6 +30,29 @@ def wielandt_primitive(block) -> bool:
     if its (m^2 - 2m + 2)-th power is entrywise positive."""
     arr = np.asarray(block, dtype=float)
     return bool(pattern_power(arr > 0.0, wielandt_exponent(arr.shape[0])).all())
+
+
+def stressed_rows_dense(probs: np.ndarray, rho: float,
+                        z: np.ndarray) -> np.ndarray:
+    """The stressed performing rows at each state of ``z``, shape
+    (m, n-1, n), with Phi^-1 and Phi evaluated on every cumulative tail,
+    repeated or not."""
+    n = probs.shape[0]
+    tails = np.cumsum(probs[:-1, ::-1], axis=1)[:, ::-1]
+    q = std_normal_inv_cdf(np.clip(tails[:, 1:], 0.0, 1.0))
+    shift = np.sqrt(rho) * z[:, None, None]
+    scale = np.sqrt(1.0 - rho)
+    stressed = np.empty((z.size, n - 1, n + 1))
+    stressed[:, :, 0] = 1.0
+    stressed[:, :, n] = 0.0
+    stressed[:, :, 1:n] = std_normal_cdf((q - shift) / scale)
+    rows = stressed[:, :, :-1] - stressed[:, :, 1:]
+    if (rows < -1e-12).any():
+        raise InputError("invalid-argument",
+                         "stress transform produced a negative probability")
+    rows[rows < 0.0] = 0.0
+    rows /= rows.sum(axis=2, keepdims=True)
+    return rows
 
 
 def path_csv_per_element(path) -> str:

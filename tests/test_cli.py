@@ -226,6 +226,24 @@ class TestUsageErrors:
         assert code == 3
         assert "weight-sum" in err
 
+    def test_sums_are_printed_as_plain_numbers(self, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text("0.5,0.4,0,0,0,0,0,0\n")
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("0.5,0.6\n0,1\n")
+        errors = []
+        for m in (MATRIX, str(matrix)):
+            code, _, err = run("validate", "--matrix", m, "--portfolio",
+                               str(book), "--origination", ORIGINATION,
+                               capsys=capsys)
+            assert code == 3
+            errors.append(err)
+        assert errors == [
+            "ttcstress: input error [weight-sum]: weights sum to 0.9, "
+            "outside 1 +- 1e-06\n",
+            "ttcstress: input error [row-sum]: row 1 sums to 1.1, "
+            "outside 1 +- 0.0001\n"]
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run("--help", capsys=capsys)
         assert code == 0

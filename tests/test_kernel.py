@@ -1,7 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
 import ttcstress as ts
+from ttcstress import transition
+from ttcstress.errors import InputError
 
 from conftest import random_portfolio, random_system
 from test_cli import MATRIX, MIDGRADE, ORIGINATION, run
@@ -83,6 +89,158 @@ class TestValidationReusesTheSolve:
                                    origination8)
         direct = ts.solve_ttc_direct(matrix8, origination8)
         assert np.array_equal(report.ttc.w_ttc.weights, direct.weights)
+
+
+def bench_systems():
+    """The benchmark's seeded system generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "systems.py"
+    spec = importlib.util.spec_from_file_location("bench_systems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dyadic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Sparse rows in 64ths: every sum is exact, so rows that start with
+    zeros have tails of exactly 1, and rows without a default share have
+    zero tails."""
+    probs = np.zeros((n, n))
+    for i in range(n - 1):
+        support = rng.random(n) < rng.uniform(0.2, 0.9)
+        support[i] = True
+        if rng.random() < 0.3:
+            support[-1] = False
+        counts = rng.multinomial(64, support / support.sum())
+        probs[i] = counts / 64.0
+    probs[-1, -1] = 1.0
+    return probs
+
+
+def stress_cases(count: int = 160):
+    """(matrix, rho, nonzero z states) on banded, dense and sparse systems."""
+    systems = bench_systems()
+    rng = np.random.default_rng(8080)
+    rhos = (1e-12, 1e-6, 0.2, 0.5, 0.999999)
+    for i in range(count):
+        n = int(rng.integers(3, 26))
+        kind = i % 4
+        if kind == 0:
+            tm = ts.TransitionMatrix(systems.rating_matrix(rng, n))
+        elif kind == 1:
+            tm = random_system(rng, n)[0]
+        elif kind == 2:
+            tm = rounded_system(rng, n)[0]
+        else:
+            tm = ts.TransitionMatrix(dyadic_matrix(rng, n))
+        rho = rhos[i % len(rhos)] if i % 3 else float(rng.uniform(0.0, 1.0))
+        z = rng.uniform(-1.0, 1.0, int(rng.integers(1, 41)))
+        z *= 10.0 ** rng.uniform(-3.0, 3.0, z.size)
+        z[z == 0.0] = 1.0
+        yield tm, rho, z
+
+
+def distinct_tails(probs: np.ndarray) -> int:
+    """Count of the tails from column 2 onward that differ from the tail to
+    their left, plus one per row."""
+    tails = np.clip(np.cumsum(probs[:-1, ::-1], axis=1)[:, ::-1][:, 1:],
+                    0.0, 1.0)
+    return tails.shape[0] + int((np.diff(tails, axis=1) != 0.0).sum())
+
+
+def kernel_rows(tm, rho, z):
+    out = np.zeros((z.size, tm.n - 1, tm.n))
+    transition._stressed_rows(tm, rho, z, out)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestDistinctTailKernel:
+    """The stress kernel evaluates Phi^-1 and Phi once per distinct tail,
+    and its rows are bit for bit those of the dense kernel that evaluates
+    every tail (``oracles.stressed_rows_dense``)."""
+
+    def test_matches_the_dense_kernel_bit_for_bit(self):
+        zero_pd_rows = exact_one_tails = 0
+        for tm, rho, z in stress_cases():
+            assert_same_bits(kernel_rows(tm, rho, z),
+                             oracles.stressed_rows_dense(tm.probs, rho, z))
+            tails = np.cumsum(tm.probs[:-1, ::-1], axis=1)[:, ::-1]
+            zero_pd_rows += int((tails[:, -1] == 0.0).sum())
+            exact_one_tails += int((tails[:, 1] == 1.0).sum())
+        # the cases include both kinds of edge row
+        assert zero_pd_rows > 20 and exact_one_tails > 20
+
+    def test_one_evaluation_per_distinct_tail(self, monkeypatch):
+        sizes = {"cdf": [], "inv": []}
+
+        def counting(name, real):
+            def wrapped(x):
+                sizes[name].append(np.size(x))
+                return real(x)
+            return wrapped
+
+        monkeypatch.setattr(transition, "std_normal_cdf",
+                            counting("cdf", transition.std_normal_cdf))
+        monkeypatch.setattr(transition, "std_normal_inv_cdf",
+                            counting("inv", transition.std_normal_inv_cdf))
+        repeated = 0
+        for tm, rho, z in stress_cases(60):
+            sizes["cdf"].clear()
+            sizes["inv"].clear()
+            kernel_rows(tm, rho, z)
+            u = distinct_tails(tm.probs)
+            assert sizes == {"cdf": [z.size * u], "inv": [u]}
+            repeated += (tm.n - 1) ** 2 - u
+        assert repeated > 0
+
+    @pytest.mark.parametrize("lift", [1e-15, 1e-9])
+    def test_dust_clamp_and_error_match_the_dense_kernel(self, monkeypatch,
+                                                         lift):
+        """Lift one stressed tail above its left neighbour, found by its Phi
+        argument: dust of 1e-15 is clamped to the same bits, an inversion of
+        1e-9 gives the same error."""
+        rng = np.random.default_rng(99)
+        real = ts.std_normal_cdf
+        for tm, rho, z in stress_cases(24):
+            p, z = tm.probs, z[:1]
+            tails = np.clip(np.cumsum(p[:-1, ::-1], axis=1)[:, ::-1], 0.0, 1.0)
+            # a performing row i and a column j >= 1 with a nonzero entry
+            # and a nonzero tail to its right
+            i, j = rng.choice(np.argwhere((p[:-1, 1:-1] > 0.0)
+                                          & (tails[:, 2:] > 0.0))) + (0, 1)
+            tails = tails[i]
+            left, right = ((ts.std_normal_inv_cdf(tails[j:j + 2])
+                            - np.sqrt(rho) * z[0]) / np.sqrt(1.0 - rho))
+
+            def lifted(x):
+                out = np.array(real(x))
+                out[np.asarray(x) == right] = real(left) + lift
+                return out
+
+            outcomes = []
+            for module, call in ((transition, kernel_rows),
+                                 (oracles, self._dense)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, "std_normal_cdf", lifted)
+                    try:
+                        outcomes.append(call(tm, rho, z))
+                    except InputError as exc:
+                        outcomes.append(exc)
+            got, want = outcomes
+            if lift > 1e-12:
+                assert isinstance(want, InputError)
+                assert (got.code, str(got)) == (want.code, str(want))
+            else:
+                assert want[0, i, j] == 0.0
+                assert_same_bits(got, want)
+
+    @staticmethod
+    def _dense(tm, rho, z):
+        return oracles.stressed_rows_dense(tm.probs, rho, z)
 
 
 MIXED_WARNING = ("ttcstress: warning: z = 0 means no stress, and the z path "

@@ -192,6 +192,32 @@ class TestEconomyState:
             assert np.array_equal(
                 z, np.array([ts.economy_state(model, row) for row in rows]))
 
+    def test_batched_path_equals_row_by_row_states(self):
+        """The z path is one stacked product over the rows, bit for bit the
+        per-row predictors of economy_state, which are in turn bit for bit
+        the plain dot product betas[0] + betas[1:] @ row."""
+        rng = np.random.default_rng(1212)
+        for _ in range(300):
+            k = int(rng.integers(1, 13))
+            periods = int(rng.integers(1, 81))
+            lag = int(rng.integers(0, 4))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            model = ts.MacroModel(betas=rng.normal(0.0, scale, k + 1),
+                                  lag=lag, p=rng.uniform(0.001, 0.3),
+                                  rho=rng.uniform(0.001, 0.9), r_squared=0.5,
+                                  residual_variance=0.1)
+            scenario = ts.MacroScenario(
+                values=rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0),
+                                  (periods, k)),
+                names=tuple(f"x{i}" for i in range(k)))
+            z = ts.economy_state_path(model, scenario)
+            rows = scenario.values[:max(periods - lag, 0)]
+            assert np.array_equal(
+                z, np.array([ts.economy_state(model, row) for row in rows]))
+            betas = model.betas
+            assert [model.linear_predictor(row) for row in rows] == [
+                float(betas[0] + betas[1:] @ row) for row in rows]
+
     def test_zero_rho_path_rejected_unless_empty(self):
         scenario = ts.MacroScenario(values=np.array([[0.1], [0.2], [0.3]]),
                                     names=("x",))

@@ -24,6 +24,12 @@ class TestVectorTypes:
             ts.Portfolio([0.5, 0.4, 0.0])
         assert err.value.code == "weight-sum"
 
+    def test_weight_sum_is_printed_as_a_plain_number(self):
+        with pytest.raises(InputError) as err:
+            ts.Portfolio([0.5, 0.4, 0.0])
+        assert str(err.value) == ("portfolio sums to 0.9, expected 1 within "
+                                  "1e-12")
+
     def test_portfolio_rejects_negative_weight(self):
         with pytest.raises(InputError) as err:
             ts.Portfolio([1.1, -0.1, 0.0])

@@ -88,9 +88,9 @@ class TestCheckOrder:
     differently."""
 
     ABSORBING = "row 2 must be (0, ..., 0, 1): the default grade is absorbing"
-    # the row sum is printed as the repr of a numpy scalar
-    SUM_11 = repr(np.array([0.5, 0.6]).sum())
-    SUM_1E7 = repr(np.array([0.5, 0.5000001]).sum())
+    # the row sum is printed as the repr of a Python float
+    SUM_11 = repr(float(np.array([0.5, 0.6]).sum()))
+    SUM_1E7 = repr(float(np.array([0.5, 0.5000001]).sum()))
 
     @pytest.mark.parametrize("raw, code, direct, validated", [
         ([[np.nan, -1.0, 2.0]], "shape", "transition matrix must be square",
@@ -277,15 +277,19 @@ class TestNegativeDustClamp:
 
     ROW, COL = 3, 5  # stressed entry (grade 4 -> grade 6)
 
-    def _lift(self, monkeypatch, lift):
+    def _lift(self, monkeypatch, matrix, lift, rho=0.2, z=-1.0):
         from ttcstress import transition
         real = transition.std_normal_cdf
+        # Phi's arguments for grade 4's tails from grades 6 and 7 onward,
+        # computed as the stress kernel computes them
+        tails = np.cumsum(matrix.probs[self.ROW, ::-1])[::-1]
+        left, right = ((ts.std_normal_inv_cdf(tails[self.COL:self.COL + 2])
+                        - np.sqrt(rho) * z) / np.sqrt(1.0 - rho))
 
         def lifted(x):
             out = np.array(real(x))
-            # column k of Phi's output is the tail from grade k + 2 onward
-            out[..., self.ROW, self.COL] = (
-                out[..., self.ROW, self.COL - 1] + lift)
+            # the grade-7 tail's value: the grade-6 tail's value plus lift
+            out[np.asarray(x) == right] = real(left) + lift
             return out
 
         monkeypatch.setattr(transition, "std_normal_cdf", lifted)
@@ -293,14 +297,14 @@ class TestNegativeDustClamp:
     def test_dust_is_clamped_to_an_exact_zero(self, monkeypatch, matrix8):
         plain = ts.stress_transition_matrix(matrix8, 0.2, -1.0)
         assert plain.probs[self.ROW, self.COL] > 1e-6
-        self._lift(monkeypatch, 1e-15)
+        self._lift(monkeypatch, matrix8, 1e-15)
         row = ts.stress_transition_matrix(matrix8, 0.2, -1.0).probs[self.ROW]
         assert row[self.COL] == 0.0
         assert (row >= 0.0).all()
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_larger_inversion_is_rejected(self, monkeypatch, matrix8):
-        self._lift(monkeypatch, 1e-9)
+        self._lift(monkeypatch, matrix8, 1e-9)
         with pytest.raises(InputError) as info:
             ts.stress_transition_matrix(matrix8, 0.2, -1.0)
         assert info.value.code == "invalid-argument"
