@@ -11,7 +11,9 @@ that a drift of the host over time falls on both sides alike.  For every end-to-
 prints each side's median and quartiles, the change in the median, and the
 pairs in which the change was better.  The JSON file holds the summary and,
 for every run, the provenance line (git SHA, sha256 of ``src/``, versions,
-CPUs) and the last line of ``bench/run.py``'s output.
+CPUs) and the last line of ``bench/run.py``'s output.  A run of a tree whose
+``src/`` differs from its git HEAD records ``git_sha`` as null: that commit
+is not what ran, and ``src_sha256`` names what did.
 
 Exit code 0 when every run completed, 1 if any op failed on either side,
 2 if a run could not complete.
@@ -44,6 +46,13 @@ def run_bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     provenance = next((json.loads(line.split(" ", 1)[1]) for line in lines
                        if line.startswith("provenance ")), None)
     return provenance, json.loads(lines[-1])
+
+
+def src_differs_from_head(tree: Path) -> bool:
+    """Whether ``git status`` lists any change under ``tree/src``."""
+    proc = subprocess.run(["git", "-C", str(tree), "status", "--porcelain",
+                           "--", "src"], capture_output=True, text=True)
+    return bool(proc.stdout.strip())
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -110,6 +119,8 @@ def main(argv=None, runner=run_bench) -> int:
             seed = args.seed + i
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 provenance, result = runner(trees[side], args.workload, seed)
+                if provenance and src_differs_from_head(trees[side]):
+                    provenance = {**provenance, "git_sha": None}
                 runs[side].append({"seed": seed, "provenance": provenance,
                                    "result": result})
                 print(f"pair {i + 1}/{args.pairs} {side:6s} seed {seed}: "

@@ -5,7 +5,8 @@ Runs each subcommand in one process through ``ttcstress.cli.cli_dispatch``:
 scenario) on the four books, plus `ttc`, `stress-matrix`, `fit-macro` and
 `diagnose`.  Each of these runs once without options and once per
 `--format` (none, text, csv, json, svg) with `--out-dir`.  `--help`,
-`propagate --help` and a usage error run too.  Every call gets a directory
+`propagate --help` and two usage errors (`--tol` given to `validate` and to
+`ttc`) run too.  Every call gets a directory
 OUT_DIR/<case>/<variant>/ holding its stdout.txt, stderr.txt, exit_code.txt
 and, with `--out-dir`, the emitted files under out/.
 
@@ -64,7 +65,8 @@ def cases() -> list[tuple[str, list[str]]]:
 def calls() -> list[tuple[str, list[str]]]:
     """(relative directory, argv) of every call, in the order they run."""
     out = [("help/top", ["--help"]), ("help/propagate", ["propagate", "--help"]),
-           ("usage-error/validate-tol", cases()[0][1] + ["--tol", "1"])]
+           ("usage-error/validate-tol", cases()[0][1] + ["--tol", "1"]),
+           ("usage-error/ttc-tol", dict(cases())["ttc"] + ["--tol", "1"])]
     for name, argv in cases():
         out.append((f"{name}/bare", argv))
         for fmt in FORMATS:

@@ -24,7 +24,7 @@ def main() -> None:
                                "origination")
     target = ts.parse_vector_csv(
         (DATA / "portfolio_seasoned.csv").read_text(), "portfolio")
-    w_ttc = ts.solve_ttc_iterative(tm, orig).w_ttc
+    w_ttc = ts.solve_ttc(tm, orig).w_ttc
 
     def residual(rho: float) -> float:
         stressed = ts.stress_transition_matrix(tm, rho, 1.0)

@@ -25,11 +25,11 @@ def main() -> None:
     orig = ts.parse_vector_csv((DATA / "origination.csv").read_text(),
                                "origination")
 
-    result = ts.solve_ttc_iterative(tm, orig)
+    result = ts.solve_ttc(tm, orig)
     print("TTC portfolio:",
           "(" + ", ".join(f"{w:.4f}" for w in result.w_ttc.weights) + ")")
     print(f"TTC PD {result.ttc_pd * 100:.3f}% "
-          f"({result.iterations} iterations)")
+          f"(one-step residual {result.final_step_delta:.2e})")
     perron = ts.verify_perron_structure(tm, orig)
     print(f"|lambda_2| = {perron.lambda2:.4f} "
           f"(spectral checks passed: {perron.passed})")

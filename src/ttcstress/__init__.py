@@ -23,7 +23,7 @@ from .propagation import (OriginationVector, Portfolio, ProjectionPath,
 from .transition import (TransitionMatrix, pit_pd, stress_transition_matrix,
                          validate_transition_matrix)
 from .ttc import (PerronReport, TTCResult, build_m_p, is_primitive,
-                  solve_ttc_direct, solve_ttc_iterative,
+                  solve_ttc, solve_ttc_direct, solve_ttc_iterative,
                   verify_perron_structure)
 
 __version__ = "0.1.0"
@@ -66,6 +66,7 @@ __all__ = [
     "project_path",
     "propagate_step",
     "run_validation",
+    "solve_ttc",
     "solve_ttc_direct",
     "solve_ttc_iterative",
     "std_normal_cdf",

@@ -18,13 +18,13 @@ from .charts import emit_svg_chart
 from .diagnostics import (DEFAULT_BAND, DEFAULT_HORIZON, ValidationReport,
                           classify_pd_path, detect_spurious_dynamics,
                           run_validation)
-from .errors import ConvergenceError, InputError, PrimitivityError
+from .errors import InputError, PrimitivityError
 from .io_formats import (emit_matrix_csv, emit_path_csv, fmt, parse_matrix_csv,
                          parse_path_csv, parse_scenario_csv, parse_vector_csv)
 from .macro import economy_state_path, fit_macro_model
 from .propagation import project_path
 from .transition import stress_transition_matrix
-from .ttc import DEFAULT_TOL, solve_ttc_iterative
+from .ttc import TTCResult, solve_ttc
 
 PROG = "ttcstress"
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ttc", "solve for the TTC portfolio and its PD", _cmd_ttc)
     _add_matrix(p)
     _add_origination(p)
-    _add_common(p, tol=True)
+    _add_common(p)
 
     p = add("propagate", "project a portfolio over a horizon", _cmd_propagate)
     _add_matrix(p)
@@ -129,7 +129,7 @@ def _add_origination(p):
                    help="origination vector CSV (last grade weight must be 0)")
 
 
-def _add_common(p, horizon=False, band=False, tol=False):
+def _add_common(p, horizon=False, band=False):
     if horizon:
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                        help=f"projection periods (default {DEFAULT_HORIZON})")
@@ -137,9 +137,6 @@ def _add_common(p, horizon=False, band=False, tol=False):
         p.add_argument("--band", type=float, default=DEFAULT_BAND,
                        help="spurious-excursion band relative to the "
                             f"terminal PD (default {DEFAULT_BAND})")
-    if tol:
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="solver tolerance (L1 on successive iterates)")
     p.add_argument("--out-dir", type=Path, default=None,
                    help="directory for emitted files (created if missing)")
     p.add_argument("--format", dest="fmt", default=None,
@@ -183,16 +180,20 @@ def _spurious_dict(rep) -> dict:
     }
 
 
+def _ttc_dict(result: TTCResult) -> dict:
+    return {
+        "w_ttc": [float(w) for w in result.w_ttc.weights],
+        "ttc_pd": result.ttc_pd,
+        "iterations": result.iterations,
+        "final_step_delta": result.final_step_delta,
+        "spectral_gap_estimate": result.spectral_gap_estimate,
+    }
+
+
 def _validation_dict(report: ValidationReport) -> dict:
     doc = {"verdict": report.verdict, "primitive": report.primitive}
     if report.ttc is not None:
-        doc["ttc"] = {
-            "w_ttc": [float(w) for w in report.ttc.w_ttc.weights],
-            "ttc_pd": report.ttc.ttc_pd,
-            "iterations": report.ttc.iterations,
-            "final_step_delta": report.ttc.final_step_delta,
-            "spectral_gap_estimate": report.ttc.spectral_gap_estimate,
-        }
+        doc["ttc"] = _ttc_dict(report.ttc)
     if report.divergence is not None:
         doc["divergence"] = {
             "differences": [float(d) for d in report.divergence.differences],
@@ -249,10 +250,7 @@ def _print_validation(report: ValidationReport) -> None:
     print(_verdict_line(report.verdict))
     print(f"primitive performing block: {report.primitive}")
     if report.ttc is not None:
-        w = ", ".join(f"{x:.4f}" for x in report.ttc.w_ttc.weights)
-        print(f"TTC portfolio: ({w})")
-        print(f"TTC PD {_pct(report.ttc.ttc_pd)} (direct solve, one-step "
-              f"residual {report.ttc.final_step_delta:.2e})")
+        _print_ttc(report.ttc)
     if report.divergence is not None:
         print(f"current PD {_pct(report.divergence.current_pd)}, "
               f"gap to TTC portfolio: L1 {report.divergence.l1:.4f}, "
@@ -272,29 +270,26 @@ def _print_validation(report: ValidationReport) -> None:
               f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
 
 
+def _print_ttc(result: TTCResult) -> None:
+    w = ", ".join(f"{x:.4f}" for x in result.w_ttc.weights)
+    print(f"TTC portfolio: ({w})")
+    print(f"TTC PD {_pct(result.ttc_pd)} (direct solve, one-step "
+          f"residual {result.final_step_delta:.2e})")
+
+
 def _cmd_ttc(args) -> int:
     tm = parse_matrix_csv(_read(args.matrix))
     origination = parse_vector_csv(_read(args.origination), "origination")
-    result = solve_ttc_iterative(tm, origination, tol=args.tol)
-    doc = {
-        "w_ttc": [float(w) for w in result.w_ttc.weights],
-        "ttc_pd": result.ttc_pd,
-        "iterations": result.iterations,
-        "final_step_delta": result.final_step_delta,
-        "spectral_gap_estimate": result.spectral_gap_estimate,
-    }
+    result = solve_ttc(tm, origination)
+    doc = _ttc_dict(result)
     out = _out_dir(args)
     if out is not None:
         _write(out, "ttc.json", _json_text(doc))
     if args.fmt == "json":
         sys.stdout.write(_json_text(doc))
     else:
-        w = ", ".join(f"{x:.4f}" for x in result.w_ttc.weights)
-        print(f"TTC portfolio: ({w})")
-        print(f"TTC PD {_pct(result.ttc_pd)}")
-        print(f"converged in {result.iterations} iterations "
-              f"(last delta {result.final_step_delta:.2e}, "
-              f"delta ratio {result.spectral_gap_estimate:.4f})")
+        _print_ttc(result)
+        print(f"|lambda_2| = {result.spectral_gap_estimate:.4f}")
     return 0
 
 
@@ -440,7 +435,7 @@ def cli_dispatch(argv) -> int:
     except InputError as exc:
         sys.stderr.write(f"{PROG}: input error [{exc.code}]: {exc}\n")
         return 3
-    except (PrimitivityError, ConvergenceError) as exc:
+    except PrimitivityError as exc:
         sys.stderr.write(f"{PROG}: model condition failed: {exc}\n")
         return 2
     except OSError as exc:

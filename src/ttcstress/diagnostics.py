@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
-                          average_pd, project_path, propagate_step)
+                          average_pd, project_path)
 from .transition import TransitionMatrix
-from .ttc import (PerronReport, TTCResult, _direct_ttc, is_primitive,
+from .ttc import (PerronReport, TTCResult, _ttc_result, is_primitive,
                   verify_perron_structure)
 
 DEFAULT_BAND = 0.05
@@ -200,16 +200,8 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
         )
     # build_m_p inside checks the matrix and origination sizes
     perron = verify_perron_structure(tm, origination)
-    w_ttc = _direct_ttc(tm, origination, perron.fixed_vector)
-    stepped, _ = propagate_step(w_ttc, tm, origination)
-    ttc = TTCResult(
-        w_ttc=w_ttc,
-        iterations=0,
-        final_step_delta=float(np.abs(stepped.weights - w_ttc.weights).sum()),
-        ttc_pd=average_pd(w_ttc, tm),
-        spectral_gap_estimate=perron.lambda2,
-    )
-    divergence = compare_portfolios(current, w_ttc, tm)
+    ttc = _ttc_result(tm, origination, perron)
+    divergence = compare_portfolios(current, ttc.w_ttc, tm)
     path = project_path(current, tm, origination, rho=0.0,
                         z_path=np.zeros(horizon))
     spurious = detect_spurious_dynamics(path, band=band)

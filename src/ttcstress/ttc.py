@@ -8,9 +8,10 @@ theory makes that fixed vector unique, strictly positive, and the attractor
 of plain iteration from any starting mix.
 
 Two solvers are provided: the direct solve of (M_p - I) w = 0 with the
-mass constraint replacing one redundant row (the production path), and
-the fixed-point iteration (the operational definition, kept as the
-independent oracle).  They must agree; tests hold them to 1e-8 and better.
+mass constraint replacing one redundant row (the production path:
+:func:`solve_ttc`, behind the ``ttc`` and ``validate`` commands), and the
+fixed-point iteration (the operational definition, kept as the independent
+oracle).  They must agree; tests hold them to 1e-8 and better.
 
 A matrix whose rows were rounded (``TransitionMatrix.published`` is set)
 defines its TTC portfolio on the published rates: it is the fixed point of
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _step_matrix,
-                          average_pd)
+                          average_pd, propagate_step)
 from .transition import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -106,11 +107,11 @@ def _m_p(probs: np.ndarray, orig: np.ndarray) -> np.ndarray:
 class TTCResult:
     """TTC portfolio with solver diagnostics.
 
-    ``run_validation`` solves directly: ``iterations`` is 0,
+    :func:`solve_ttc` solves directly: ``iterations`` is 0,
     ``final_step_delta`` is the L1 change one propagation step makes to the
     portfolio and ``spectral_gap_estimate`` is the exact lambda_2.  From
     :func:`solve_ttc_iterative` it is a noisy ratio of two rounding-level
-    deltas; :attr:`PerronReport.lambda2` is the exact figure.
+    deltas.
     """
 
     w_ttc: Portfolio
@@ -118,6 +119,30 @@ class TTCResult:
     final_step_delta: float
     ttc_pd: float
     spectral_gap_estimate: float
+
+
+def solve_ttc(tm: TransitionMatrix,
+              origination: OriginationVector) -> TTCResult:
+    """The production TTC solve: the primitivity gate (the same
+    :class:`PrimitivityError` as the oracle's), the Perron checks, then one
+    direct solve and one propagation step for its residual."""
+    _check_solver_inputs(tm, origination, require_primitive=True)
+    return _ttc_result(tm, origination,
+                       verify_perron_structure(tm, origination))
+
+
+def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
+                perron: PerronReport) -> TTCResult:
+    """:func:`solve_ttc` once primitivity is checked and ``perron`` built."""
+    w_ttc = _direct_ttc(tm, origination, perron.fixed_vector)
+    stepped, _ = propagate_step(w_ttc, tm, origination)
+    return TTCResult(
+        w_ttc=w_ttc,
+        iterations=0,
+        final_step_delta=float(np.abs(stepped.weights - w_ttc.weights).sum()),
+        ttc_pd=average_pd(w_ttc, tm),
+        spectral_gap_estimate=perron.lambda2,
+    )
 
 
 def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
@@ -132,8 +157,8 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     applies the propagation step until the L1 change between iterates drops
     below ``tol``.  ``spectral_gap_estimate`` is the ratio of the last two
     L1 deltas, taken near ``tol`` where rounding dominates: 0.9402954 on the
-    bundled data against the exact lambda_2 0.9403729 that ``validate``
-    reports as ``perron.lambda2``.  The step is
+    bundled data against the exact lambda_2 0.9403729 that
+    :func:`solve_ttc` reports.  The step is
     :func:`~ttcstress.propagation.propagate_step`'s, so a matrix with
     rounded rows iterates on its published rates at unit balance.
 

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +80,12 @@ def random_portfolio(rng: np.random.Generator, n: int,
         w[-1] = 0.0
     w /= w.sum()
     return ts.Portfolio(w)
+
+
+def bench_systems():
+    """The benchmark's seeded system generator, loaded from its file."""
+    path = DATA.parent / "bench" / "systems.py"
+    spec = importlib.util.spec_from_file_location("bench_systems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

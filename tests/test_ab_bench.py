@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,32 @@ def test_run_length_is_not_an_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         ab_bench.main(argv, runner=StubRunner())
     assert exc.value.code == 2
+
+
+def git_tree(path: Path, edit: bool) -> Path:
+    """A git repository with one committed file under src/, edited after
+    the commit if ``edit``."""
+    (path / "src").mkdir(parents=True)
+    (path / "src" / "mod.py").write_text("x = 1\n")
+    git = ["git", "-C", str(path), "-c", "user.name=ab", "-c",
+           "user.email=ab@example.invalid"]
+    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    if edit:
+        (path / "src" / "mod.py").write_text("x = 2\n")
+    return path
+
+
+def test_sha_of_a_tree_with_edited_src_is_not_recorded(tmp_path):
+    parent = git_tree(tmp_path / "parent", edit=False)
+    change = git_tree(tmp_path / "change", edit=True)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--workload", "stress-fan",
+            "--pairs", "2", "--out", str(out)]
+    assert ab_bench.main(argv, runner=StubRunner()) == 0
+    runs = json.loads(out.read_text())["stress-fan"]["runs"]
+    assert [r["provenance"]["git_sha"] for r in runs["parent"]] == [
+        "parent"] * 2
+    assert [r["provenance"]["git_sha"] for r in runs["change"]] == [None] * 2
+    assert [r["provenance"]["src_sha256"] for r in runs["change"]] == [
+        "changechange"] * 2

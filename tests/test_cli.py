@@ -11,7 +11,7 @@ import ttcstress as ts
 from ttcstress import cli
 from ttcstress.cli import build_parser, cli_dispatch
 
-from conftest import DATA
+from conftest import DATA, bench_systems
 
 MATRIX = str(DATA / "transition_matrix.csv")
 ORIGINATION = str(DATA / "origination.csv")
@@ -408,26 +408,130 @@ class TestValidateDirectSolve:
         assert "--tol" in err
 
 
+def published_table(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``probs`` in ten-thousandths with each performing row one tick (1e-4)
+    off unit sum, up or down, wherever the parser's 1e-4 row-sum tolerance
+    admits it in floating point, so the parsed matrix has published rates."""
+    ticks = np.rint(probs * 1e4)
+    for i in range(len(ticks) - 1):
+        for step in rng.permutation([-1, 1]):
+            row = ticks[i].copy()
+            row[i] += step
+            if abs((row / 1e4).sum() - 1.0) <= 1e-4:
+                ticks[i] = row
+                break
+    return ticks / 1e4
+
+
+def write_system(directory: Path, probs: np.ndarray, orig: np.ndarray):
+    """(matrix, origination) CSV paths; shortest round-trip numbers, so the
+    parser reads back the exact doubles."""
+    matrix, origination = directory / "matrix.csv", directory / "orig.csv"
+    matrix.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                              for row in probs))
+    origination.write_text(",".join(repr(float(v)) for v in orig) + "\n")
+    return str(matrix), str(origination)
+
+
+def ttc_docs(matrix: str, orig: str, capsys) -> tuple[dict, dict]:
+    """``ttc --format json`` and the ``ttc`` part of ``validate --format
+    json``, with the origination mix as the book."""
+    code, out, _ = run("ttc", "--matrix", matrix, "--origination", orig,
+                       "--format", "json", capsys=capsys)
+    assert code == 0
+    code, report, _ = run("validate", "--matrix", matrix, "--portfolio", orig,
+                          "--origination", orig, "--format", "json",
+                          capsys=capsys)
+    assert code in (0, 1)
+    return json.loads(out), json.loads(report)["ttc"]
+
+
+class TestTtcDirectSolve:
+    FIELDS = ("w_ttc", "ttc_pd", "final_step_delta", "spectral_gap_estimate")
+
+    def test_bundled_json_is_validate_s_ttc(self, capsys):
+        ttc, validated = ttc_docs(MATRIX, ORIGINATION, capsys)
+        for field in self.FIELDS:
+            assert ttc[field] == validated[field], field
+        assert ttc["iterations"] == validated["iterations"] == 0
+        assert set(ttc) == {*self.FIELDS, "iterations"}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_21_grade_json_is_validate_s_ttc(self, seed, tmp_path,
+                                                    capsys):
+        # JSON floats round-trip, so equal values are equal bits
+        rng = np.random.default_rng(9900 + seed)
+        probs, orig = bench_systems().rating_system(rng)
+        if seed % 2:
+            probs = published_table(probs, rng)
+        matrix, origination = write_system(tmp_path, probs, orig)
+        assert (ts.parse_matrix_csv(Path(matrix).read_text()).published
+                is None) == (seed % 2 == 0)
+        ttc, validated = ttc_docs(matrix, origination, capsys)
+        for field in self.FIELDS:
+            assert ttc[field] == validated[field], field
+
+    def test_text_names_the_direct_solve_and_the_exact_lambda2(self, capsys):
+        _, out, _ = run("ttc", "--matrix", MATRIX, "--origination",
+                        ORIGINATION, capsys=capsys)
+        lines = out.splitlines()
+        assert lines[1].startswith(
+            "TTC PD 1.198% (direct solve, one-step residual ")
+        assert lines[2] == "|lambda_2| = 0.9404"
+
+    def test_tol_is_not_a_ttc_option(self, capsys):
+        code, _, err = run("ttc", "--matrix", MATRIX, "--origination",
+                           ORIGINATION, "--tol", "1e-10", capsys=capsys)
+        assert code == 3
+        assert "--tol" in err
+
+    def test_never_runs_the_iterative_oracle(self, monkeypatch, capsys):
+        tm = ts.parse_matrix_csv(Path(MATRIX).read_text())
+        orig = ts.parse_vector_csv(Path(ORIGINATION).read_text(),
+                                   "origination")
+        oracle = ts.solve_ttc_iterative(tm, orig).w_ttc.weights
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the ttc command ran the iterative oracle")
+
+        monkeypatch.setattr(ts, "solve_ttc_iterative", forbidden)
+        monkeypatch.setattr(ts.ttc, "solve_ttc_iterative", forbidden)
+        monkeypatch.setattr(cli, "solve_ttc_iterative", forbidden,
+                            raising=False)
+        # only the loop reads ttc's _step_matrix, so no alias gets round this
+        monkeypatch.setattr(ts.ttc, "_step_matrix", forbidden)
+        code, out, _ = run("ttc", "--matrix", MATRIX, "--origination",
+                           ORIGINATION, "--format", "json", capsys=capsys)
+        assert code == 0
+        assert np.abs(np.array(json.loads(out)["w_ttc"]) - oracle).max() <= 1e-10
+
+
+def assert_no_scipy(argv: list[str], code: int) -> None:
+    """Run ``cli_dispatch(argv)`` in a fresh interpreter; it must return
+    ``code`` without importing scipy."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import ttcstress\n"
+        "from ttcstress.cli import cli_dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli_dispatch({argv!r})\n"
+        f"assert code == {code}, code\n"
+        "assert 'scipy' not in sys.modules\n")
+    src = str(Path(ts.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestLazyScipy:
     def test_validate_does_not_load_scipy(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-        script = (
-            "import contextlib, io, sys\n"
-            "import ttcstress\n"
-            "from ttcstress.cli import cli_dispatch\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = cli_dispatch(['validate', '--matrix', {MATRIX!r},\n"
-            f"                         '--portfolio', {MIDGRADE!r},\n"
-            f"                         '--origination', {ORIGINATION!r}])\n"
-            "assert code == 1, code\n"
-            "assert 'scipy' not in sys.modules\n")
-        src = str(Path(ts.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
+        assert_no_scipy(["validate", "--matrix", MATRIX, "--portfolio",
+                         MIDGRADE, "--origination", ORIGINATION], code=1)
+
+    def test_ttc_does_not_load_scipy(self):
+        assert_no_scipy(["ttc", "--matrix", MATRIX, "--origination",
+                         ORIGINATION], code=0)
 
 
 def tree(root: Path) -> dict:

@@ -61,3 +61,6 @@ def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
     assert codes == {"help/top": "0\n", "usage-error/validate-tol": "3\n",
                      "diagnose/json": "1\n",
                      "propagate-seasoned-z0/bare": "0\n"}
+    ttc_tol = root / "usage-error" / "ttc-tol"
+    assert (ttc_tol / "exit_code.txt").read_text() == "3\n"
+    assert "--tol" in (ttc_tol / "stderr.txt").read_text()

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -9,7 +6,7 @@ import ttcstress as ts
 from ttcstress import transition
 from ttcstress.errors import InputError
 
-from conftest import random_portfolio, random_system
+from conftest import bench_systems, random_portfolio, random_system
 from test_cli import MATRIX, MIDGRADE, ORIGINATION, run
 from test_ttc import rounded_system
 
@@ -89,15 +86,6 @@ class TestValidationReusesTheSolve:
                                    origination8)
         direct = ts.solve_ttc_direct(matrix8, origination8)
         assert np.array_equal(report.ttc.w_ttc.weights, direct.weights)
-
-
-def bench_systems():
-    """The benchmark's seeded system generator, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "systems.py"
-    spec = importlib.util.spec_from_file_location("bench_systems", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def dyadic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -162,6 +162,59 @@ class TestDirectSolver:
                           - iterative.w_ttc.weights).max() <= 1e-8
 
 
+class TestProductionSolver:
+    def test_bundled_result(self, matrix8, origination8, ttc8):
+        result = ts.solve_ttc(matrix8, origination8)
+        perron = ts.verify_perron_structure(matrix8, origination8)
+        assert result.iterations == 0
+        assert result.spectral_gap_estimate == perron.lambda2
+        assert result.final_step_delta <= 1e-14
+        assert np.array_equal(result.w_ttc.weights,
+                              ts.solve_ttc_direct(matrix8, origination8).weights)
+        assert np.abs(result.w_ttc.weights
+                      - ttc8.w_ttc.weights).max() <= 1e-10
+        assert result.ttc_pd == pytest.approx(TTC_PD_PUBLISHED, abs=5e-6)
+
+    def test_is_run_validation_s_ttc(self, matrix8, origination8, portfolios):
+        report = ts.run_validation(portfolios["midgrade"], matrix8,
+                                   origination8)
+        result = ts.solve_ttc(matrix8, origination8)
+        assert np.array_equal(result.w_ttc.weights, report.ttc.w_ttc.weights)
+        assert (result.ttc_pd, result.final_step_delta,
+                result.spectral_gap_estimate, result.iterations) == (
+            report.ttc.ttc_pd, report.ttc.final_step_delta,
+            report.ttc.spectral_gap_estimate, report.ttc.iterations)
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_seeded_systems_match_the_oracle(self, rounded):
+        rng = np.random.default_rng(31 + rounded)
+        for _ in range(30):
+            n = int(rng.integers(3, 22))
+            tm, orig = (rounded_system if rounded else random_system)(rng, n)
+            result = ts.solve_ttc(tm, orig)
+            oracle = ts.solve_ttc_iterative(tm, orig)
+            assert np.abs(result.w_ttc.weights
+                          - oracle.w_ttc.weights).max() <= 1e-10
+            stepped, _ = ts.propagate_step(result.w_ttc, tm, orig)
+            delta = np.abs(stepped.weights - result.w_ttc.weights).sum()
+            assert result.final_step_delta == delta
+            assert delta <= 1e-13
+
+    def test_counterexample_gets_the_gate_s_reason(self):
+        tm = counterexample_matrix()
+        orig = ts.OriginationVector([0.5, 0.5, 0.0])
+        with pytest.raises(PrimitivityError) as direct:
+            ts.solve_ttc(tm, orig)
+        with pytest.raises(PrimitivityError) as oracle:
+            ts.solve_ttc_iterative(tm, orig)
+        assert direct.value.reason == oracle.value.reason
+        assert str(direct.value) == str(oracle.value)
+
+    def test_size_mismatch_is_an_input_error(self, matrix8):
+        with pytest.raises(InputError):
+            ts.solve_ttc(matrix8, ts.OriginationVector([0.5, 0.5, 0.0]))
+
+
 class TestPerronStructure:
     def test_bundled_system(self, matrix8, origination8):
         report = ts.verify_perron_structure(matrix8, origination8)
