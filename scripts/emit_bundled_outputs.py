@@ -4,9 +4,10 @@ Runs each subcommand in one process through ``ttcstress.cli.cli_dispatch``:
 `validate` and `propagate` (z = 0, z = -1 at rho = 0.2, and the bundled
 scenario) on the four books, plus `ttc`, `stress-matrix`, `fit-macro` and
 `diagnose`.  Each of these runs once without options and once per
-`--format` (none, text, csv, json, svg) with `--out-dir`.  `--help`,
-`propagate --help` and two usage errors (`--tol` given to `validate` and to
-`ttc`) run too.  Every call gets a directory
+`--format` (none, text, csv, json, svg) with `--out-dir`, so that the
+formats a command does not emit are recorded as the usage errors they are.
+`--help`, `propagate --help` and two more usage errors (`--tol` given to
+`validate` and to `ttc`) run too.  Every call gets a directory
 OUT_DIR/<case>/<variant>/ holding its stdout.txt, stderr.txt, exit_code.txt
 and, with `--out-dir`, the emitted files under out/.
 

@@ -68,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix(p)
     _add_portfolio(p)
     _add_origination(p)
-    _add_common(p, horizon=True, band=True)
+    _add_common(p, ("csv", "json", "svg"), horizon=True, band=True)
 
     p = add("ttc", "solve for the TTC portfolio and its PD", _cmd_ttc)
     _add_matrix(p)
     _add_origination(p)
-    _add_common(p)
+    _add_common(p, ("json",))
 
     p = add("propagate", "project a portfolio over a horizon", _cmd_propagate)
     _add_matrix(p)
@@ -89,27 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="asset correlation used when stressing (default 0)")
     p.add_argument("--lag", type=int, default=0,
                    help="macro model lag when --scenario is used")
-    _add_common(p, horizon=True, band=True)
+    _add_common(p, ("csv", "json", "svg"), horizon=True, band=True)
 
     p = add("stress-matrix", "print the matrix conditional on z", _cmd_stress_matrix)
     _add_matrix(p)
     p.add_argument("--rho", type=float, required=True, help="asset correlation")
     p.add_argument("--z", type=float, required=True, help="economy state")
-    _add_common(p)
+    _add_common(p, ("csv",))
 
     p = add("fit-macro", "fit the probit macro model and calibrate (p, rho)",
             _cmd_fit_macro)
     p.add_argument("--scenario", type=Path, required=True,
                    help="scenario CSV with credit_index and macro columns")
     p.add_argument("--lag", type=int, default=0, help="regressor lag")
-    _add_common(p)
+    _add_common(p, ("json",))
 
     p = add("diagnose", "classify an existing projection path CSV", _cmd_diagnose)
     p.add_argument("--path", type=Path, required=True,
                    help="CSV produced by the propagate command")
     p.add_argument("--band", type=float, default=DEFAULT_BAND,
                    help="spurious-excursion band relative to the terminal PD")
-    _add_common(p)
+    _add_common(p, ("json",))
 
     return parser
 
@@ -129,7 +129,9 @@ def _add_origination(p):
                    help="origination vector CSV (last grade weight must be 0)")
 
 
-def _add_common(p, horizon=False, band=False):
+def _add_common(p, kinds, horizon=False, band=False):
+    """The options every command shares; ``kinds`` are the file formats the
+    command emits, in the order text, csv, json, svg of the help text."""
     if horizon:
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                        help=f"projection periods (default {DEFAULT_HORIZON})")
@@ -140,7 +142,7 @@ def _add_common(p, horizon=False, band=False):
     p.add_argument("--out-dir", type=Path, default=None,
                    help="directory for emitted files (created if missing)")
     p.add_argument("--format", dest="fmt", default=None,
-                   choices=("text", "csv", "json", "svg"),
+                   choices=("text", *kinds),
                    help="restrict output to one format")
 
 
@@ -151,74 +153,74 @@ def _read(path: Path) -> str:
         raise InputError("missing-file", f"cannot read {path}: {exc}") from exc
 
 
-def _out_dir(args) -> Path | None:
-    if args.out_dir is None:
-        return None
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return args.out_dir
+def _emit(args, files, show) -> None:
+    """The output policy of every command.
+
+    ``files`` lists each file the command can emit as (kind, name, build),
+    where ``build()`` returns the file's text and runs only for a file that
+    is written or printed.  ``--format KIND`` builds that one file, prints
+    it and writes it under ``--out-dir`` if one is given.  Otherwise (no
+    ``--format``, or ``text``) every file is written under ``--out-dir``,
+    none is built without one, and ``show()`` prints the text summary.
+    """
+    out = args.out_dir
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    chosen = None if args.fmt == "text" else args.fmt
+    for kind, name, build in files:
+        if kind != chosen and (chosen is not None or out is None):
+            continue
+        text = build()
+        if out is not None:
+            (out / name).write_text(text, encoding="utf-8", newline="\n")
+        if chosen is not None:
+            sys.stdout.write(text)
+    if chosen is None:
+        show()
 
 
-def _write(directory: Path, name: str, content: str) -> Path:
-    target = directory / name
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-    return target
+def _fields(obj, *names) -> dict:
+    """The named attributes of ``obj``, numpy arrays written as lists."""
+    doc = {name: getattr(obj, name) for name in names}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v
+            for name, v in doc.items()}
 
 
 def _spurious_dict(rep) -> dict:
-    return {
-        "classification": rep.classification,
-        "min_pd": rep.min_pd,
-        "min_period": rep.min_period,
-        "max_pd": rep.max_pd,
-        "max_period": rep.max_period,
-        "terminal_pd": rep.terminal_pd,
-        "first_crossing": rep.first_crossing,
-        "band": rep.band,
-        "deviations_non_increasing": rep.deviations_non_increasing,
-        "pd_path": [float(v) for v in rep.pd_path],
-    }
+    return _fields(rep, "classification", "min_pd", "min_period", "max_pd",
+                   "max_period", "terminal_pd", "first_crossing", "band",
+                   "deviations_non_increasing", "pd_path")
 
 
 def _ttc_dict(result: TTCResult) -> dict:
-    return {
-        "w_ttc": [float(w) for w in result.w_ttc.weights],
-        "ttc_pd": result.ttc_pd,
-        "iterations": result.iterations,
-        "final_step_delta": result.final_step_delta,
-        "spectral_gap_estimate": result.spectral_gap_estimate,
-    }
+    return {"w_ttc": result.w_ttc.weights.tolist(),
+            **_fields(result, "ttc_pd", "iterations", "final_step_delta",
+                      "spectral_gap_estimate")}
 
 
 def _validation_dict(report: ValidationReport) -> dict:
-    doc = {"verdict": report.verdict, "primitive": report.primitive}
+    doc = _fields(report, "verdict", "primitive")
     if report.ttc is not None:
         doc["ttc"] = _ttc_dict(report.ttc)
     if report.divergence is not None:
-        doc["divergence"] = {
-            "differences": [float(d) for d in report.divergence.differences],
-            "l1": report.divergence.l1,
-            "linf": report.divergence.linf,
-            "current_pd": report.divergence.current_pd,
-            "ttc_pd": report.divergence.ttc_pd,
-        }
+        doc["divergence"] = _fields(report.divergence, "differences", "l1",
+                                    "linf", "current_pd", "ttc_pd")
     if report.spurious is not None:
         doc["spurious"] = _spurious_dict(report.spurious)
     if report.perron is not None:
-        doc["perron"] = {
-            "column_sums": [float(s) for s in report.perron.column_sums],
-            "column_sums_ok": report.perron.column_sums_ok,
-            "residual": report.perron.residual,
-            "residual_ok": report.perron.residual_ok,
-            "lambda2": report.perron.lambda2,
-            "lambda2_ok": report.perron.lambda2_ok,
-            "passed": report.perron.passed,
-        }
+        doc["perron"] = _fields(report.perron, "column_sums",
+                                "column_sums_ok", "residual", "residual_ok",
+                                "lambda2", "lambda2_ok", "passed")
     return doc
 
 
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _path_files(path, title: str) -> list:
+    return [("csv", "path.csv", lambda: emit_path_csv(path)),
+            ("svg", "chart.svg", lambda: emit_svg_chart(path, title=title))]
 
 
 def _pct(x: float) -> str:
@@ -231,18 +233,11 @@ def _cmd_validate(args) -> int:
     origination = parse_vector_csv(_read(args.origination), "origination")
     report = run_validation(portfolio, tm, origination,
                             horizon=args.horizon, band=args.band)
-    doc = _validation_dict(report)
-    out = _out_dir(args)
-    if out is not None:
-        _write(out, "report.json", _json_text(doc))
-        if report.path is not None:
-            _write(out, "path.csv", emit_path_csv(report.path))
-            _write(out, "chart.svg",
-                   emit_svg_chart(report.path, title="Zero-stress projection"))
-    if args.fmt == "json":
-        sys.stdout.write(_json_text(doc))
-    else:
-        _print_validation(report)
+    files = [("json", "report.json",
+              lambda: _json_text(_validation_dict(report)))]
+    if report.path is not None:
+        files += _path_files(report.path, "Zero-stress projection")
+    _emit(args, files, lambda: _print_validation(report))
     return report.exit_code
 
 
@@ -281,15 +276,13 @@ def _cmd_ttc(args) -> int:
     tm = parse_matrix_csv(_read(args.matrix))
     origination = parse_vector_csv(_read(args.origination), "origination")
     result = solve_ttc(tm, origination)
-    doc = _ttc_dict(result)
-    out = _out_dir(args)
-    if out is not None:
-        _write(out, "ttc.json", _json_text(doc))
-    if args.fmt == "json":
-        sys.stdout.write(_json_text(doc))
-    else:
+
+    def show():
         _print_ttc(result)
         print(f"|lambda_2| = {result.spectral_gap_estimate:.4f}")
+
+    _emit(args, [("json", "ttc.json", lambda: _json_text(_ttc_dict(result)))],
+          show)
     return 0
 
 
@@ -325,42 +318,28 @@ def _cmd_propagate(args) -> int:
         sys.stderr.write(f"{PROG}: warning: z = 0 means no stress, and the z "
                          "path mixes it with stressed periods; the stressed "
                          "matrix does not tend to the input one as z -> 0\n")
-    report = detect_spurious_dynamics(path, band=args.band)
-    out = _out_dir(args)
-    chosen = None if args.fmt == "text" else args.fmt
-    # build only what is written or printed: the one format asked for, or
-    # every file when --out-dir is given without one
-    for kind, name in (("csv", "path.csv"), ("svg", "chart.svg"),
-                       ("json", "path.json")):
-        if chosen not in (None, kind) or (chosen is None and out is None):
-            continue
-        text = (emit_path_csv(path) if kind == "csv" else
-                emit_svg_chart(path, title="Average PD projection")
-                if kind == "svg" else _json_text(_spurious_dict(report)))
-        if out is not None:
-            _write(out, name, text)
-        if chosen is not None:
-            sys.stdout.write(text)
-    if chosen is None:
-        s = report
+    s = detect_spurious_dynamics(path, band=args.band)
+
+    def show():
         print(f"projected {path.periods} periods, initial PD "
               f"{_pct(path.initial_pd)}, terminal PD {_pct(s.terminal_pd)}")
         print(f"min {_pct(s.min_pd)} at t={s.min_period}, "
               f"max {_pct(s.max_pd)} at t={s.max_period}")
         print(f"classification: {s.classification}")
-        if out is not None:
-            print(f"wrote path.csv, chart.svg, path.json to {out}")
-    return 1 if report.spurious else 0
+        if args.out_dir is not None:
+            print(f"wrote path.csv, chart.svg, path.json to {args.out_dir}")
+
+    _emit(args, _path_files(path, "Average PD projection")
+          + [("json", "path.json", lambda: _json_text(_spurious_dict(s)))],
+          show)
+    return 1 if s.spurious else 0
 
 
 def _cmd_stress_matrix(args) -> int:
     tm = parse_matrix_csv(_read(args.matrix))
-    stressed = stress_transition_matrix(tm, args.rho, args.z)
-    text = emit_matrix_csv(stressed)
-    out = _out_dir(args)
-    if out is not None:
-        _write(out, "stressed_matrix.csv", text)
-    sys.stdout.write(text)
+    text = emit_matrix_csv(stress_transition_matrix(tm, args.rho, args.z))
+    _emit(args, [("csv", "stressed_matrix.csv", lambda: text)],
+          lambda: sys.stdout.write(text))
     return 0
 
 
@@ -374,27 +353,18 @@ def _cmd_fit_macro(args) -> int:
                          "scenario file has no macro variable columns")
     model = fit_macro_model(series, scenario, lag=args.lag)
     z = economy_state_path(model, scenario)
-    doc = {
-        "betas": [float(b) for b in model.betas],
-        "lag": model.lag,
-        "p": model.p,
-        "rho": model.rho,
-        "r_squared": model.r_squared,
-        "residual_variance": model.residual_variance,
-        "z_path": [float(v) for v in z],
-    }
-    out = _out_dir(args)
-    if out is not None:
-        _write(out, "macro_model.json", _json_text(doc))
-    if args.fmt == "json":
-        sys.stdout.write(_json_text(doc))
-    else:
+
+    def show():
         names = ("intercept",) + scenario.names
         for name, beta in zip(names, model.betas):
             print(f"beta[{name}] = {fmt(beta)}")
         print(f"lag = {model.lag}, R^2 = {model.r_squared:.6f}")
         print(f"p = {fmt(model.p)}, rho = {fmt(model.rho)}")
         print("z path: " + ", ".join(f"{v:.4f}" for v in z))
+
+    _emit(args, [("json", "macro_model.json", lambda: _json_text({
+        **_fields(model, "betas", "lag", "p", "rho", "r_squared",
+                  "residual_variance"), "z_path": z.tolist()}))], show)
     return 0
 
 
@@ -402,17 +372,15 @@ def _cmd_diagnose(args) -> int:
     table = parse_path_csv(_read(args.path))
     report = classify_pd_path(table.avg_pds, band=args.band,
                               period_labels=table.periods)
-    doc = _spurious_dict(report)
-    out = _out_dir(args)
-    if out is not None:
-        _write(out, "diagnosis.json", _json_text(doc))
-    if args.fmt == "json":
-        sys.stdout.write(_json_text(doc))
-    else:
+
+    def show():
         print(f"classification: {report.classification}")
         print(f"min {_pct(report.min_pd)} at t={report.min_period}, "
               f"max {_pct(report.max_pd)} at t={report.max_period}, "
               f"terminal {_pct(report.terminal_pd)}")
+
+    _emit(args, [("json", "diagnosis.json",
+                  lambda: _json_text(_spurious_dict(report)))], show)
     return 1 if report.spurious else 0
 
 

@@ -75,7 +75,9 @@ def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
     this order: square with two grades or more, finite, nonnegative, rows
     summing to one within ``tol``, absorbing last row.  Returns the row
     sums.  ``raw`` input gets :func:`validate_transition_matrix`'s messages:
-    the non-finite entry is located and the row-sum bound is ``tol``."""
+    the non-finite entry is located and the row-sum bound is ``tol``, with n
+    ulp of slack so that the summation's rounding cannot reject a row that
+    sits exactly on it."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("shape", "transition matrix must be square")
     if arr.shape[0] < 2:
@@ -92,7 +94,8 @@ def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
         raise InputError("negative-entry",
                          f"negative probability at row {i + 1}, column {j + 1}")
     sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
+    slack = arr.shape[0] * np.finfo(float).eps if raw else 0.0
+    bad = np.abs(sums - 1.0) > tol + slack
     if bad.any():
         i = int(np.argmax(bad))
         bound = f"outside 1 +- {tol}" if raw else f"expected 1 within {tol}"

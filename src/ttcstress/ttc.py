@@ -133,8 +133,26 @@ def solve_ttc(tm: TransitionMatrix,
 
 def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
                 perron: PerronReport) -> TTCResult:
-    """:func:`solve_ttc` once primitivity is checked and ``perron`` built."""
-    w_ttc = _direct_ttc(tm, origination, perron.fixed_vector)
+    """:func:`solve_ttc` once primitivity is checked and ``perron`` built;
+    the portfolio is ``perron.fixed_vector``, or the published-rate Perron
+    vector for a matrix with rounded rows."""
+    if tm.published is not None:
+        w = _perron_vector(_m_p(tm.published, origination.weights))
+    elif perron.fixed_vector is None:
+        raise PrimitivityError(
+            "bordered system is singular: the fixed vector is not unique, "
+            "so the performing block cannot be primitive")
+    else:
+        w = perron.fixed_vector
+    if (w < -1e-10).any():
+        raise PrimitivityError(
+            "direct solve produced a significantly negative component; "
+            "the performing block is not primitive or the inputs are "
+            "inconsistent")
+    w = np.where(w < 0.0, 0.0, w)
+    full = np.zeros(tm.n)
+    full[:-1] = w / w.sum()
+    w_ttc = Portfolio(full)
     stepped, _ = propagate_step(w_ttc, tm, origination)
     return TTCResult(
         w_ttc=w_ttc,
@@ -214,43 +232,14 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
 
 def solve_ttc_direct(tm: TransitionMatrix,
                      origination: OriginationVector) -> Portfolio:
-    """TTC portfolio from the bordered linear system.
-
-    (M_p - I) is rank-deficient by exactly one when the performing block is
-    primitive, so replacing one row with the mass constraint sum(w) = 1
-    yields a well-posed dense system, solved with partial pivoting.  A
-    matrix with rounded rows solves for the Perron vector of M_p built from
-    its published rates, scaled to unit mass: the fixed point of the
-    propagation step that rescales the book to unit balance.
-    """
-    _check_solver_inputs(tm, origination, require_primitive=True)
-    return _direct_ttc(tm, origination)
+    """The TTC portfolio of :func:`solve_ttc`, its Perron checks included,
+    for callers that want the portfolio alone."""
+    return solve_ttc(tm, origination).w_ttc
 
 
-def _direct_ttc(tm: TransitionMatrix, origination: OriginationVector,
-                solved: np.ndarray | None = None) -> Portfolio:
-    """:func:`solve_ttc_direct` once sizes and primitivity are checked;
-    ``solved`` is ``PerronReport.fixed_vector`` if the caller has it."""
-    if tm.published is not None:
-        w = _perron_vector(_m_p(tm.published, origination.weights))
-    elif solved is None:
-        w = _solve_unit_eigenvector(_m_p(tm.probs, origination.weights))
-    else:
-        w = solved
-    if (w < -1e-10).any():
-        raise PrimitivityError(
-            "direct solve produced a significantly negative component; "
-            "the performing block is not primitive or the inputs are "
-            "inconsistent")
-    w = np.where(w < 0.0, 0.0, w)
-    w = w / w.sum()
-    full = np.zeros(tm.n)
-    full[:-1] = w
-    return Portfolio(full)
-
-
-def _solve_unit_eigenvector(m_p: np.ndarray) -> np.ndarray:
-    """Solve (M_p - I) w = 0 with one row swapped for the mass constraint."""
+def _solve_unit_eigenvector(m_p: np.ndarray) -> np.ndarray | None:
+    """Solve (M_p - I) w = 0 with one row swapped for the mass constraint;
+    None if that system is singular (the fixed vector is not unique)."""
     m = m_p.shape[0]
     a = m_p - np.eye(m)
     a[-1, :] = 1.0
@@ -258,10 +247,8 @@ def _solve_unit_eigenvector(m_p: np.ndarray) -> np.ndarray:
     b[-1] = 1.0
     try:
         return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise PrimitivityError(
-            "bordered system is singular: the fixed vector is not unique, "
-            "so the performing block cannot be primitive") from exc
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _perron_vector(m_p: np.ndarray) -> np.ndarray:
@@ -285,8 +272,9 @@ def _check_sizes(tm: TransitionMatrix, origination: OriginationVector) -> None:
 def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
                          require_primitive: bool) -> None:
     _check_sizes(tm, origination)
-    if require_primitive and not is_primitive(tm.performing_block):
-        reason = _primitivity_defect(tm.performing_block > 0.0)
+    reason = (_primitivity_defect(tm.performing_block > 0.0)
+              if require_primitive else None)
+    if reason is not None:
         raise PrimitivityError(
             f"performing-grade block is not primitive: {reason}",
             reason=reason)
@@ -334,11 +322,8 @@ def verify_perron_structure(tm: TransitionMatrix,
     m_p = build_m_p(tm, origination)
     col_sums = m_p.sum(axis=0)
     col_ok = bool(np.abs(col_sums - 1.0).max() <= 1e-12)
-    try:
-        w = _solve_unit_eigenvector(m_p)
-        residual = float(np.abs(m_p @ w - w).max())
-    except PrimitivityError:
-        w, residual = None, float("inf")
+    w = _solve_unit_eigenvector(m_p)
+    residual = float("inf") if w is None else float(np.abs(m_p @ w - w).max())
     moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
     return PerronReport(

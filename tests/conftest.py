@@ -20,6 +20,18 @@ AVG_PD_PUBLISHED = {
     "seasoned": 0.01093,
 }
 
+# the file of each kind that each CLI command emits: --format KIND writes
+# that one file, no --format (or text) writes them all, and a kind the
+# command does not emit is a usage error that writes nothing
+CLI_FILES = {"validate": {"json": "report.json", "csv": "path.csv",
+                          "svg": "chart.svg"},
+             "propagate": {"csv": "path.csv", "svg": "chart.svg",
+                           "json": "path.json"},
+             "ttc": {"json": "ttc.json"},
+             "stress-matrix": {"csv": "stressed_matrix.csv"},
+             "fit-macro": {"json": "macro_model.json"},
+             "diagnose": {"json": "diagnosis.json"}}
+
 
 @pytest.fixture(scope="session")
 def data_dir() -> Path:

@@ -11,7 +11,7 @@ import ttcstress as ts
 from ttcstress import cli
 from ttcstress.cli import build_parser, cli_dispatch
 
-from conftest import DATA, bench_systems
+from conftest import CLI_FILES, DATA, bench_systems
 
 MATRIX = str(DATA / "transition_matrix.csv")
 ORIGINATION = str(DATA / "origination.csv")
@@ -587,14 +587,100 @@ class TestParserReuse:
               for f in ("path.csv", "chart.svg", "path.json"))}
 
 
+FORMATS = ("text", "csv", "json", "svg")
+
+
+def command(name: str, tmp_path: Path, capsys) -> tuple[list[str], int]:
+    """(argv, exit code) of one run of ``name`` on the bundled data."""
+    book = ["--matrix", MATRIX, "--portfolio", BARBELL,
+            "--origination", ORIGINATION]
+    if name == "diagnose":
+        source = tmp_path / "source"
+        run("propagate", *book, "--format", "csv", "--out-dir", str(source),
+            capsys=capsys)
+        return ["diagnose", "--path", str(source / "path.csv")], 1
+    return {"validate": (["validate", *book], 1),
+            "propagate": (["propagate", *book], 1),
+            "ttc": (["ttc", "--matrix", MATRIX, "--origination", ORIGINATION],
+                    0),
+            "stress-matrix": (["stress-matrix", "--matrix", MATRIX,
+                               "--rho", "0.2", "--z", "-1"], 0),
+            "fit-macro": (["fit-macro", "--scenario", SCENARIO, "--lag", "1"],
+                          0)}[name]
+
+
+class TestOutputPolicy:
+    @pytest.mark.parametrize("name, fmt", [
+        (name, fmt) for name in CLI_FILES for fmt in FORMATS[1:]
+        if fmt not in CLI_FILES[name]])
+    def test_a_format_the_command_does_not_emit_is_a_usage_error(
+            self, name, fmt, tmp_path, capsys):
+        argv, _ = command(name, tmp_path, capsys)
+        out_dir = tmp_path / "out"
+        code, out, err = run(*argv, "--format", fmt, "--out-dir", str(out_dir),
+                             capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert f"invalid choice: '{fmt}'" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, fmt", [
+        (name, fmt) for name in CLI_FILES for fmt in FORMATS
+        if fmt in CLI_FILES[name]])
+    def test_a_format_writes_and_prints_that_one_file(self, name, fmt,
+                                                      tmp_path, capsys):
+        argv, expected = command(name, tmp_path, capsys)
+        out_dir = tmp_path / "out"
+        code, out, _ = run(*argv, "--format", fmt, "--out-dir", str(out_dir),
+                           capsys=capsys)
+        assert code == expected
+        assert tree(out_dir) == {CLI_FILES[name][fmt]: out.encode()}
+        assert run(*argv, "--format", fmt, capsys=capsys) == (code, out, "")
+
+    @pytest.mark.parametrize("name", CLI_FILES)
+    @pytest.mark.parametrize("fmt", [None, "text"])
+    def test_no_format_writes_every_file_and_prints_the_summary(
+            self, name, fmt, tmp_path, capsys):
+        argv, expected = command(name, tmp_path, capsys)
+        out_dir = tmp_path / "out"
+        extra = ("--format", fmt) if fmt else ()
+        code, out, _ = run(*argv, *extra, "--out-dir", str(out_dir),
+                           capsys=capsys)
+        assert code == expected
+        summary = run(*argv, capsys=capsys)[1]
+        if name == "propagate":
+            summary += f"wrote path.csv, chart.svg, path.json to {out_dir}\n"
+        assert out == summary
+        assert tree(out_dir) == {
+            file: run(*argv, "--format", kind, capsys=capsys)[1].encode()
+            for kind, file in CLI_FILES[name].items()}
+
+    def test_stress_matrix_summary_is_its_csv(self, tmp_path, capsys):
+        argv, _ = command("stress-matrix", tmp_path, capsys)
+        assert run(*argv, capsys=capsys) == run(*argv, "--format", "csv",
+                                                capsys=capsys)
+
+    def test_failed_validate_prints_no_path(self, tmp_path, capsys):
+        tm, p, o = write_counterexample(tmp_path)
+        out_dir = tmp_path / "out"
+        code, out, _ = run("validate", "--matrix", tm, "--portfolio", p,
+                           "--origination", o, "--format", "csv",
+                           "--out-dir", str(out_dir), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert tree(out_dir) == {}
+
+
 class TestLazyEmission:
     PROPAGATE = ("propagate", "--matrix", MATRIX, "--portfolio", BARBELL,
                  "--origination", ORIGINATION)
+    VALIDATE = ("validate", "--matrix", MATRIX, "--portfolio", BARBELL,
+                "--origination", ORIGINATION)
 
     @pytest.fixture
     def built(self, monkeypatch):
         """The strings each emitter returned, by emitter."""
-        texts = {"csv": [], "svg": []}
+        texts = {"csv": [], "svg": [], "json": []}
 
         def counting(kind, emit):
             def wrapper(*args, **kwargs):
@@ -606,6 +692,7 @@ class TestLazyEmission:
                             counting("csv", cli.emit_path_csv))
         monkeypatch.setattr(cli, "emit_svg_chart",
                             counting("svg", cli.emit_svg_chart))
+        monkeypatch.setattr(cli, "_json_text", counting("json", cli._json_text))
         return texts
 
     @pytest.mark.parametrize("fmt, calls", [
@@ -638,3 +725,16 @@ class TestLazyEmission:
                         == built[kind][0].encode("utf-8"))
             else:
                 assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("fmt, calls", [
+        (None, (0, 0, 0)), ("text", (0, 0, 0)), ("json", (0, 0, 1)),
+        ("csv", (1, 0, 0)), ("svg", (0, 1, 0)),
+    ])
+    def test_validate_builds_only_what_it_prints(self, built, capsys, fmt,
+                                                 calls):
+        extra = ("--format", fmt) if fmt else ()
+        code, out, _ = run(*self.VALIDATE, *extra, capsys=capsys)
+        assert code == 1
+        assert tuple(len(built[k]) for k in ("csv", "svg", "json")) == calls
+        if fmt in ("csv", "svg", "json"):
+            assert out == built[fmt][0]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import ttcstress as ts
 
+from conftest import CLI_FILES
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,15 +24,6 @@ compare_outputs = load("compare_outputs")
 emit_bundled_outputs = load("emit_bundled_outputs")
 
 
-# files each command writes under --out-dir; propagate writes by --format
-OUT_FILES = {"validate": {"report.json", "path.csv", "chart.svg"},
-             "ttc": {"ttc.json"}, "stress-matrix": {"stressed_matrix.csv"},
-             "fit-macro": {"macro_model.json"},
-             "diagnose": {"diagnosis.json"}}
-PROPAGATE_FILES = {"csv": {"path.csv"}, "svg": {"chart.svg"},
-                   "json": {"path.json"}}
-
-
 def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
     src = str(Path(ts.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -43,14 +36,20 @@ def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     assert "only in" not in capsys.readouterr().out
 
-    expected = set()
+    expected, refused = set(), set()
     for rel, argv in emit_bundled_outputs.calls():
         expected |= {f"{rel}/{name}"
                      for name in ("stdout.txt", "stderr.txt", "exit_code.txt")}
         if "--out-dir" in argv:
             variant = rel.rsplit("/", 1)[1]
-            names = OUT_FILES.get(argv[0]) or PROPAGATE_FILES.get(
-                variant, {"path.csv", "chart.svg", "path.json"})
+            files = CLI_FILES[argv[0]]
+            if variant in ("default", "text"):
+                names = files.values()
+            elif variant in files:
+                names = [files[variant]]
+            else:
+                names = []
+                refused.add(rel)
             expected |= {f"{rel}/out/{name}" for name in names}
     root = tmp_path / "a"
     assert {str(p.relative_to(root)) for p in root.rglob("*")
@@ -61,6 +60,10 @@ def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
     assert codes == {"help/top": "0\n", "usage-error/validate-tol": "3\n",
                      "diagnose/json": "1\n",
                      "propagate-seasoned-z0/bare": "0\n"}
+    assert len(refused) == 8
+    for rel in refused:
+        assert (root / rel / "exit_code.txt").read_text() == "3\n"
+        assert "invalid choice" in (root / rel / "stderr.txt").read_text()
     ttc_tol = root / "usage-error" / "ttc-tol"
     assert (ttc_tol / "exit_code.txt").read_text() == "3\n"
     assert "--tol" in (ttc_tol / "stderr.txt").read_text()

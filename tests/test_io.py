@@ -7,7 +7,7 @@ from ttcstress.io_formats import PathTable, fmt
 from ttcstress.propagation import ProjectionPath
 
 import oracles
-from conftest import random_portfolio, random_system
+from conftest import bench_systems, random_portfolio, random_system
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,38 @@ class TestParseMatrixCsv:
             ts.parse_matrix_csv("0.5,0.4\n0,1\n")
         assert err.value.code == "row-sum"
         assert "row 1" in str(err.value)
+
+    @staticmethod
+    def csv_text(probs: np.ndarray) -> str:
+        return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                       for row in probs)
+
+    def test_rows_one_tick_off_unit_sum_parse(self):
+        # four-decimal rows one tick (1e-4) off: their floating-point sums
+        # land up to a few ulp outside the 1e-4 bound
+        for seed in range(100):
+            probs, _ = bench_systems().rating_system(
+                np.random.default_rng(seed))
+            idx = np.arange(probs.shape[0] - 1)
+            for step in (-1e-4, 1e-4):
+                ticked = probs.copy()
+                ticked[idx, idx] = np.round(probs[idx, idx] + step, 4)
+                tm = ts.parse_matrix_csv(self.csv_text(ticked))
+                assert np.array_equal(tm.published, ticked)
+
+    @pytest.mark.parametrize("offset", [-2e-4, -1.001e-4, 1.001e-4, 2e-4])
+    def test_rows_beyond_the_bound_are_rejected(self, offset):
+        for seed in range(20):
+            probs, _ = bench_systems().rating_system(
+                np.random.default_rng(seed))
+            i = seed % (probs.shape[0] - 1)
+            probs[i, i] += offset
+            with pytest.raises(InputError) as err:
+                ts.parse_matrix_csv(self.csv_text(probs))
+            assert err.value.code == "row-sum"
+            assert str(err.value) == (f"row {i + 1} sums to "
+                                      f"{float(probs[i].sum())!r}, "
+                                      "outside 1 +- 0.0001")
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(InputError) as err:

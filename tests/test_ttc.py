@@ -214,6 +214,19 @@ class TestProductionSolver:
         with pytest.raises(InputError):
             ts.solve_ttc(matrix8, ts.OriginationVector([0.5, 0.5, 0.0]))
 
+    def test_singular_bordered_system_is_a_primitivity_error(self):
+        # the identity block fails the gate; past it, M_p - I is zero
+        tm = ts.TransitionMatrix(np.eye(3))
+        orig = ts.OriginationVector([0.5, 0.5, 0.0])
+        perron = ts.verify_perron_structure(tm, orig)
+        assert perron.fixed_vector is None
+        assert perron.residual == float("inf") and not perron.residual_ok
+        with pytest.raises(PrimitivityError) as err:
+            ts.ttc._ttc_result(tm, orig, perron)
+        assert str(err.value) == (
+            "bordered system is singular: the fixed vector is not unique, "
+            "so the performing block cannot be primitive")
+
 
 class TestPerronStructure:
     def test_bundled_system(self, matrix8, origination8):
