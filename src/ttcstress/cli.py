@@ -210,7 +210,7 @@ def _validation_dict(report: ValidationReport) -> dict:
     if report.perron is not None:
         doc["perron"] = _fields(report.perron, "column_sums",
                                 "column_sums_ok", "residual", "residual_ok",
-                                "lambda2", "lambda2_ok", "passed")
+                                "lambda2", "lambda2_ok", "root", "passed")
     return doc
 
 
@@ -238,12 +238,16 @@ def _cmd_validate(args) -> int:
     if report.path is not None:
         files += _path_files(report.path, "Zero-stress projection")
     _emit(args, files, lambda: _print_validation(report))
+    if report.defect is not None and args.fmt not in (None, "text"):
+        # the summary that names the failure is hidden; exit 2 is not silent
+        sys.stderr.write(f"verdict: {report.verdict}\nreason: {report.defect}\n")
     return report.exit_code
 
 
 def _print_validation(report: ValidationReport) -> None:
     print(_verdict_line(report.verdict))
-    print(f"primitive performing block: {report.primitive}")
+    print(f"primitive performing block: {report.primitive}"
+          + (f" ({report.defect})" if report.defect else ""))
     if report.ttc is not None:
         _print_ttc(report.ttc)
     if report.divergence is not None:
@@ -262,6 +266,7 @@ def _print_validation(report: ValidationReport) -> None:
         p = report.perron
         print(f"spectral check: column sums ok={p.column_sums_ok}, "
               f"fixed-point residual {p.residual:.2e} (ok={p.residual_ok}), "
+              f"Perron root {p.root:.7f}, "
               f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
 
 

@@ -16,8 +16,8 @@ from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
                           average_pd, project_path)
 from .transition import TransitionMatrix
-from .ttc import (PerronReport, TTCResult, _ttc_result, is_primitive,
-                  verify_perron_structure)
+from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
+                  is_primitive, verify_perron_structure)
 
 DEFAULT_BAND = 0.05
 DEFAULT_HORIZON = 50
@@ -72,8 +72,8 @@ class ValidationReport:
 
     ``verdict`` is "pass", "warn: <classification>" when the zero-stress
     projection shows spurious dynamics, or "fail: not primitive" when no
-    unique TTC portfolio exists.  Component reports are None past the point
-    where the pipeline stopped.
+    unique TTC portfolio exists, as ``defect`` explains.  Component reports
+    are None past the point where the pipeline stopped.
     """
 
     primitive: bool
@@ -83,6 +83,7 @@ class ValidationReport:
     spurious: SpuriousReport | None
     perron: PerronReport | None
     verdict: str
+    defect: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -197,6 +198,7 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
             spurious=None,
             perron=None,
             verdict="fail: not primitive",
+            defect=_primitivity_defect(tm.performing_block > 0.0),
         )
     # build_m_p inside checks the matrix and origination sizes
     perron = verify_perron_structure(tm, origination)

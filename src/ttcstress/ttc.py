@@ -16,9 +16,9 @@ oracle).  They must agree; tests hold them to 1e-8 and better.
 A matrix whose rows were rounded (``TransitionMatrix.published`` is set)
 defines its TTC portfolio on the published rates: it is the fixed point of
 the propagation step with the book rescaled to unit balance, which is the
-normalised Perron vector of the published-rate M_p.  That matrix's Perron
-root differs from one by the rounding, so the direct solver takes its
-Perron vector instead of solving the bordered system.
+normalised Perron vector of the published-rate M_p.  Its Perron root
+differs from one by the rounding, so one eigendecomposition of it gives the
+TTC portfolio, the root and lambda_2 in place of the bordered system.
 """
 from __future__ import annotations
 
@@ -133,17 +133,12 @@ def solve_ttc(tm: TransitionMatrix,
 
 def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
                 perron: PerronReport) -> TTCResult:
-    """:func:`solve_ttc` once primitivity is checked and ``perron`` built;
-    the portfolio is ``perron.fixed_vector``, or the published-rate Perron
-    vector for a matrix with rounded rows."""
-    if tm.published is not None:
-        w = _perron_vector(_m_p(tm.published, origination.weights))
-    elif perron.fixed_vector is None:
+    """TTC result of ``perron.fixed_vector``, past the primitivity gate."""
+    w = perron.fixed_vector
+    if w is None:
         raise PrimitivityError(
             "bordered system is singular: the fixed vector is not unique, "
             "so the performing block cannot be primitive")
-    else:
-        w = perron.fixed_vector
     if (w < -1e-10).any():
         raise PrimitivityError(
             "direct solve produced a significantly negative component; "
@@ -251,17 +246,6 @@ def _solve_unit_eigenvector(m_p: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _perron_vector(m_p: np.ndarray) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue, scaled to unit mass.
-
-    On a primitive nonnegative matrix that eigenvalue is the real, simple
-    Perron root, and every other eigenvalue has a smaller real part.
-    """
-    vals, vecs = np.linalg.eig(m_p)
-    v = vecs[:, int(np.argmax(vals.real))].real
-    return v / v.sum()
-
-
 def _check_sizes(tm: TransitionMatrix, origination: OriginationVector) -> None:
     if origination.n != tm.n:
         raise InputError("dimension-mismatch",
@@ -284,13 +268,11 @@ def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
 class PerronReport:
     """Structural checks behind existence and convergence of the TTC portfolio.
 
-    Every figure (column sums, fixed-point residual, ``lambda2``) is computed
-    on the row-stochastic M_p of :func:`build_m_p`.  For a matrix with
-    rounded rows the TTC portfolio is instead the Perron vector of the
-    published-rate M_p, so the residual is not that of the reported TTC
-    (the two vectors are 1.6e-4 apart at grade 3 on the bundled data).
-    ``fixed_vector`` is the solved vector behind ``residual`` (None if
-    singular), the TTC portfolio of a matrix whose rows were not rounded.
+    ``fixed_vector`` (the TTC portfolio on the performing grades, unit mass;
+    None if the bordered system is singular), its fixed-point ``residual``,
+    ``root`` and ``lambda2`` all come from one spectral computation on the
+    M_p the propagation step uses: the published-rate one for a matrix with
+    rounded rows.  ``column_sums`` are those of :func:`build_m_p`.
     """
 
     column_sums: np.ndarray
@@ -299,6 +281,7 @@ class PerronReport:
     residual_ok: bool
     lambda2: float
     lambda2_ok: bool
+    root: float
     fixed_vector: np.ndarray | None = None
 
     @property
@@ -308,23 +291,32 @@ class PerronReport:
 
 def verify_perron_structure(tm: TransitionMatrix,
                             origination: OriginationVector) -> PerronReport:
-    """Check the spectral facts the TTC solvers rely on.
-
-    The checks run on :func:`build_m_p`, the propagation matrix of the
-    row-stochastic ``tm.probs``, also for a matrix with rounded rows, whose
-    TTC portfolio is the Perron vector of the published-rate M_p instead.
-    Reports (a) the column sums of the performing propagation matrix, which
-    must all equal one, (b) the fixed-point residual of the directly solved
-    vector, and (c) lambda_2, the second-largest eigenvalue modulus of M_p
-    (0 for one performing grade), which must lie below one.  Raises only
-    for mismatched sizes (as :func:`build_m_p`); failed checks are flags.
+    """Check the spectral facts the TTC solvers rely on, on the M_p of the
+    propagation step: the published-rate one for a matrix with rounded rows,
+    whose Perron vector, root and lambda_2 come from one ``eig``.  With exact
+    rows the root is 1: the bordered solve gives the fixed vector and
+    ``eigvals`` the rest.  Reports the column sums of :func:`build_m_p` (the
+    rates whose mass the step conserves, so each must equal one), the max-abs
+    change one unit-balance step M w / (1'M w) makes to the fixed vector, the
+    Perron root, and lambda_2, the second-largest eigenvalue modulus (0 for
+    one performing grade), which must lie below one.  Raises only for
+    mismatched sizes (as :func:`build_m_p`); failed checks are flags.
     """
     m_p = build_m_p(tm, origination)
     col_sums = m_p.sum(axis=0)
     col_ok = bool(np.abs(col_sums - 1.0).max() <= 1e-12)
-    w = _solve_unit_eigenvector(m_p)
-    residual = float("inf") if w is None else float(np.abs(m_p @ w - w).max())
-    moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
+    if tm.published is None:
+        w, vals = _solve_unit_eigenvector(m_p), np.linalg.eigvals(m_p)
+    else:
+        m_p = _m_p(tm.published, origination.weights)
+        vals, vecs = np.linalg.eig(m_p)
+        v = vecs[:, int(np.argmax(vals.real))].real
+        w = v / v.sum()
+    residual = float("inf")
+    if w is not None:
+        stepped = m_p @ w
+        residual = float(np.abs(stepped / stepped.sum() - w).max())
+    moduli = np.sort(np.abs(vals))
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
     return PerronReport(
         column_sums=col_sums,
@@ -333,5 +325,6 @@ def verify_perron_structure(tm: TransitionMatrix,
         residual_ok=residual <= 1e-10,
         lambda2=lam2,
         lambda2_ok=lam2 < 1.0,
+        root=float(moduli[-1]),
         fixed_vector=w,
     )

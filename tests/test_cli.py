@@ -395,6 +395,15 @@ class TestValidateDirectSolve:
         assert doc["ttc"]["iterations"] == 0
         assert doc["ttc"]["final_step_delta"] <= 1e-14
 
+    def test_perron_root_is_reported(self, capsys):
+        argv = ("validate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
+                "--origination", ORIGINATION)
+        _, out, _ = run(*argv, capsys=capsys)
+        assert "Perron root 1.0000454, |lambda_2| = 0.9404" in out
+        _, out, _ = run(*argv, "--format", "json", capsys=capsys)
+        assert json.loads(out)["perron"]["root"] == pytest.approx(
+            1.0000454, abs=5e-8)
+
     def test_text_names_the_direct_solve(self, capsys):
         _, out, _ = run("validate", "--matrix", MATRIX, "--portfolio",
                         MIDGRADE, "--origination", ORIGINATION, capsys=capsys)
@@ -663,12 +672,32 @@ class TestOutputPolicy:
     def test_failed_validate_prints_no_path(self, tmp_path, capsys):
         tm, p, o = write_counterexample(tmp_path)
         out_dir = tmp_path / "out"
-        code, out, _ = run("validate", "--matrix", tm, "--portfolio", p,
-                           "--origination", o, "--format", "csv",
-                           "--out-dir", str(out_dir), capsys=capsys)
+        code, out, err = run("validate", "--matrix", tm, "--portfolio", p,
+                             "--origination", o, "--format", "csv",
+                             "--out-dir", str(out_dir), capsys=capsys)
         assert code == 2
         assert out == ""
+        assert err == ("verdict: fail: not primitive\n"
+                       "reason: the grades cycle with period 2\n")
         assert tree(out_dir) == {}
+
+    @pytest.mark.parametrize("fmt", [None, "text", "json", "svg"])
+    def test_failed_validate_names_the_defect_in_every_format(
+            self, fmt, tmp_path, capsys):
+        tm, p, o = write_counterexample(tmp_path)
+        extra = ("--format", fmt) if fmt else ()
+        code, out, err = run("validate", "--matrix", tm, "--portfolio", p,
+                             "--origination", o, *extra, capsys=capsys)
+        assert code == 2
+        if fmt in (None, "text"):
+            assert err == ""
+            assert out.splitlines()[:2] == [
+                "verdict: fail: not primitive",
+                "primitive performing block: False "
+                "(the grades cycle with period 2)"]
+        else:
+            assert err == ("verdict: fail: not primitive\n"
+                           "reason: the grades cycle with period 2\n")
 
 
 class TestLazyEmission:

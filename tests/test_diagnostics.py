@@ -4,7 +4,8 @@ import pytest
 import ttcstress as ts
 from ttcstress.errors import InputError
 
-from conftest import counterexample_matrix, random_portfolio, random_system
+from conftest import (bench_systems, counterexample_matrix, random_portfolio,
+                      random_system)
 from test_ttc import rounded_system
 
 
@@ -164,6 +165,39 @@ def _validation_systems():
     return systems
 
 
+def _spectral_systems():
+    """The validation systems plus seeded 21-grade master-scale systems with
+    one row moved one tick, so that their rows were rounded."""
+    systems = _validation_systems()
+    for seed in range(4):
+        rng = np.random.default_rng(4400 + seed)
+        probs, orig = bench_systems().rating_system(rng)
+        i = int(rng.integers(probs.shape[0] - 1))
+        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
+        tm = ts.validate_transition_matrix(probs, tol=2e-4)
+        assert tm.published is not None
+        systems.append((tm, ts.OriginationVector(orig)))
+    return systems
+
+
+def dynamics_m_p(tm, orig):
+    """The M_p the propagation step uses: on the published rates for a
+    matrix whose rows were rounded."""
+    probs = tm.probs if tm.published is None else tm.published
+    return probs[:-1, :-1].T + np.outer(orig.weights[:-1], probs[:-1, -1])
+
+
+def assert_spectral_figures_of(m_p, report):
+    """The TTC, Perron root and residual of ``report`` are those of one
+    eigendecomposition of ``m_p``."""
+    vals, vecs = np.linalg.eig(m_p)
+    k = int(np.argmax(vals.real))
+    v = vecs[:, k].real / vecs[:, k].real.sum()
+    assert np.abs(report.ttc.w_ttc.weights[:-1] - v).max() <= 1e-13
+    assert report.perron.root == pytest.approx(vals[k].real, abs=1e-12)
+    assert report.perron.residual <= 1e-14
+
+
 class TestDirectSolveInValidation:
     def test_ttc_matches_iterative_oracle_on_bundled_data(
             self, matrix8, origination8, portfolios, ttc8):
@@ -192,11 +226,11 @@ class TestDirectSolveInValidation:
         assert report.ttc.final_step_delta == float(
             np.abs(stepped.weights - report.ttc.w_ttc.weights).sum())
 
-    @pytest.mark.parametrize("k", range(11))
+    @pytest.mark.parametrize("k", range(15))
     def test_lambda2_is_the_exact_subdominant_modulus(self, k):
-        tm, orig = _validation_systems()[k]
+        tm, orig = _spectral_systems()[k]
         report = ts.run_validation(ts.Portfolio(orig.weights), tm, orig)
-        moduli = np.sort(np.abs(np.linalg.eigvals(ts.build_m_p(tm, orig))))
+        moduli = np.sort(np.abs(np.linalg.eigvals(dynamics_m_p(tm, orig))))
         expected = moduli[-2] if moduli.size > 1 else 0.0
         assert report.perron.lambda2 == pytest.approx(expected, abs=1e-12)
         assert report.ttc.spectral_gap_estimate == report.perron.lambda2
@@ -205,8 +239,21 @@ class TestDirectSolveInValidation:
         report = ts.run_validation(portfolios["midgrade"], matrix8,
                                    origination8)
         moduli = np.sort(np.abs(np.linalg.eigvals(
-            ts.build_m_p(matrix8, origination8))))
+            dynamics_m_p(matrix8, origination8))))
         assert report.perron.lambda2 == pytest.approx(moduli[-2], abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(15))
+    def test_ttc_root_and_residual_come_from_the_dynamics_m_p(self, k):
+        tm, orig = _spectral_systems()[k]
+        report = ts.run_validation(ts.Portfolio(orig.weights), tm, orig)
+        assert_spectral_figures_of(dynamics_m_p(tm, orig), report)
+
+    def test_bundled_ttc_root_and_residual_come_from_the_dynamics_m_p(
+            self, matrix8, origination8, portfolios):
+        report = ts.run_validation(portfolios["midgrade"], matrix8,
+                                   origination8)
+        assert_spectral_figures_of(dynamics_m_p(matrix8, origination8), report)
+        assert report.perron.root == pytest.approx(1.0000454, abs=5e-8)
 
     def test_primitivity_checked_once(self, monkeypatch, matrix8,
                                       origination8, portfolios):

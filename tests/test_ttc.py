@@ -317,3 +317,38 @@ class TestRoundedRates:
             assert after.weights[-1] == 0.0
             assert flow == pytest.approx(book.weights @ matrix8.published[:, -1],
                                          abs=1e-16)
+
+
+class TestOneSpectralComputation:
+    """Each solve factorises the M_p of the dynamics once: one ``eig`` of
+    the published-rate M_p when rows were rounded, else one ``eigvals`` and
+    one bordered ``solve`` of the exact M_p."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eig": 0, "eigvals": 0, "solve": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("system", ["bundled", "exact", "rounded"])
+    def test_solve_and_validation_factorise_once(self, system, counts,
+                                                  matrix8, origination8):
+        rng = np.random.default_rng(404)
+        tm, orig = {"bundled": lambda: (matrix8, origination8),
+                    "exact": lambda: random_system(rng, 21),
+                    "rounded": lambda: rounded_system(rng, 21)}[system]()
+        expected = ({"eig": 0, "eigvals": 1, "solve": 1}
+                    if tm.published is None
+                    else {"eig": 1, "eigvals": 0, "solve": 0})
+        assert (tm.published is None) == (system == "exact")
+        for run in (lambda: ts.solve_ttc(tm, orig),
+                    lambda: ts.run_validation(ts.Portfolio(orig.weights),
+                                              tm, orig)):
+            counts.update(dict.fromkeys(counts, 0))
+            run()
+            assert counts == expected
