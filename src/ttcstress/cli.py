@@ -200,6 +200,8 @@ def _ttc_dict(result: TTCResult) -> dict:
 
 def _validation_dict(report: ValidationReport) -> dict:
     doc = _fields(report, "verdict", "primitive")
+    if report.defect is not None:
+        doc["defect"] = report.defect
     if report.ttc is not None:
         doc["ttc"] = _ttc_dict(report.ttc)
     if report.divergence is not None:
@@ -208,8 +210,7 @@ def _validation_dict(report: ValidationReport) -> dict:
     if report.spurious is not None:
         doc["spurious"] = _spurious_dict(report.spurious)
     if report.perron is not None:
-        doc["perron"] = _fields(report.perron, "column_sums",
-                                "column_sums_ok", "residual", "residual_ok",
+        doc["perron"] = _fields(report.perron, "residual", "residual_ok",
                                 "lambda2", "lambda2_ok", "root", "passed")
     return doc
 
@@ -264,9 +265,8 @@ def _print_validation(report: ValidationReport) -> None:
               f"settles within band at t={s.first_crossing})")
     if report.perron is not None:
         p = report.perron
-        print(f"spectral check: column sums ok={p.column_sums_ok}, "
-              f"fixed-point residual {p.residual:.2e} (ok={p.residual_ok}), "
-              f"Perron root {p.root:.7f}, "
+        print(f"spectral check: fixed-point residual {p.residual:.2e} "
+              f"(ok={p.residual_ok}), Perron root {p.root:.7f}, "
               f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
 
 
@@ -291,21 +291,26 @@ def _cmd_ttc(args) -> int:
     return 0
 
 
-def _build_z_path(args, tm) -> np.ndarray:
+def _scenario_z_path(args):
+    """The scenario of ``--scenario``, the macro model fitted on it at
+    ``--lag``, and the z path of its periods with lagged regressors."""
+    series, scenario = parse_scenario_csv(_read(args.scenario))
+    if series is None:
+        raise InputError("missing-column",
+                         "scenario file has no credit_index column")
+    if scenario is None:
+        raise InputError("missing-column",
+                         "scenario file has no macro variable columns")
+    model = fit_macro_model(series, scenario, lag=args.lag)
+    return scenario, model, economy_state_path(model, scenario)
+
+
+def _build_z_path(args) -> np.ndarray:
     if args.scenario is not None and args.z is not None:
         raise InputError("invalid-argument",
                          "--z and --scenario are mutually exclusive")
     if args.scenario is not None:
-        series, scenario = parse_scenario_csv(_read(args.scenario))
-        if series is None or scenario is None:
-            raise InputError("missing-column",
-                             "scenario-driven propagation needs both a "
-                             "credit_index column and macro columns")
-        model = fit_macro_model(series, scenario, lag=args.lag)
-        z = economy_state_path(model, scenario)
-        if z.size == 0:
-            raise InputError("too-short", "scenario has no usable periods")
-        return z[:args.horizon] if args.horizon < z.size else z
+        return _scenario_z_path(args)[2][:args.horizon]
     if args.z is not None:
         return np.full(args.horizon, float(args.z))
     return np.zeros(args.horizon)
@@ -317,7 +322,7 @@ def _cmd_propagate(args) -> int:
     origination = parse_vector_csv(_read(args.origination), "origination")
     if args.horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
-    z_path = _build_z_path(args, tm)
+    z_path = _build_z_path(args)
     path = project_path(portfolio, tm, origination, rho=args.rho, z_path=z_path)
     if args.rho > 0.0 and 0 < np.count_nonzero(z_path) < z_path.size:
         sys.stderr.write(f"{PROG}: warning: z = 0 means no stress, and the z "
@@ -349,15 +354,7 @@ def _cmd_stress_matrix(args) -> int:
 
 
 def _cmd_fit_macro(args) -> int:
-    series, scenario = parse_scenario_csv(_read(args.scenario))
-    if series is None:
-        raise InputError("missing-column",
-                         "scenario file has no credit_index column")
-    if scenario is None:
-        raise InputError("missing-column",
-                         "scenario file has no macro variable columns")
-    model = fit_macro_model(series, scenario, lag=args.lag)
-    z = economy_state_path(model, scenario)
+    scenario, model, z = _scenario_z_path(args)
 
     def show():
         names = ("intercept",) + scenario.names

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
-                          average_pd, project_path)
+                          _check_sizes, average_pd, project_path)
 from .transition import TransitionMatrix
 from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
                   is_primitive, verify_perron_structure)
@@ -97,9 +97,7 @@ class ValidationReport:
 def compare_portfolios(current: Portfolio, w_ttc: Portfolio,
                        tm: TransitionMatrix) -> DivergenceReport:
     """Componentwise differences and norms, with both average PDs."""
-    if current.n != w_ttc.n or current.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         "portfolios and matrix must share the grade count")
+    _check_sizes(current=current, ttc=w_ttc, matrix=tm)
     diff = current.weights - w_ttc.weights
     return DivergenceReport(
         differences=diff,
@@ -200,7 +198,6 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
             verdict="fail: not primitive",
             defect=_primitivity_defect(tm.performing_block > 0.0),
         )
-    # build_m_p inside checks the matrix and origination sizes
     perron = verify_perron_structure(tm, origination)
     ttc = _ttc_result(tm, origination, perron)
     divergence = compare_portfolios(current, ttc.w_ttc, tm)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InputError
 from .macro import CreditIndexSeries, MacroScenario
-from .propagation import OriginationVector, Portfolio, ProjectionPath
+from .propagation import (OriginationVector, Portfolio, ProjectionPath,
+                          _check_weights)
 from .transition import TransitionMatrix, validate_transition_matrix
 
 # Published matrices are typically rounded to four decimals, so row sums can
@@ -54,8 +55,23 @@ def _to_float(cell: str, row: int, col: int) -> float:
                          f"non-numeric cell {cell!r} at row {row}, column {col}") from None
 
 
-def parse_matrix_csv(text: str, tol: float = MATRIX_ROW_SUM_TOL) -> TransitionMatrix:
-    """Parse an n x n numeric CSV into a validated transition matrix.
+def _float_rows(rows: list[list[str]], width: int, first: int,
+                skip: int = 0) -> np.ndarray:
+    """The cells of ``rows`` past the first ``skip`` columns, as floats.
+    Each row must hold ``width`` cells; messages count rows from ``first``."""
+    data = []
+    for i, row in enumerate(rows, start=first):
+        if len(row) != width:
+            raise InputError("ragged",
+                             f"row {i} has {len(row)} cells, expected {width}")
+        data.append([_to_float(c, i, j)
+                     for j, c in enumerate(row[skip:], start=skip + 1)])
+    return np.array(data)
+
+
+def parse_matrix_csv(text: str) -> TransitionMatrix:
+    """Parse an n x n numeric CSV into a validated transition matrix, with
+    rows within ``MATRIX_ROW_SUM_TOL`` of unit sum.
 
     A single header row is detected (and skipped) when its first row contains
     any non-numeric cell.  Rows must all have the same length.
@@ -65,23 +81,16 @@ def parse_matrix_csv(text: str, tol: float = MATRIX_ROW_SUM_TOL) -> TransitionMa
         rows = rows[1:]
         if not rows:
             raise InputError("empty", "no data rows after the header")
-    width = len(rows[0])
-    data = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise InputError("ragged",
-                             f"row {i} has {len(row)} cells, expected {width}")
-        data.append([_to_float(c, i, j + 1) for j, c in enumerate(row)])
-    return validate_transition_matrix(np.array(data), tol=tol)
+    return validate_transition_matrix(_float_rows(rows, len(rows[0]), 1),
+                                      tol=MATRIX_ROW_SUM_TOL)
 
 
-def parse_vector_csv(text: str, kind: str,
-                     tol: float = VECTOR_SUM_TOL) -> Portfolio | OriginationVector:
+def parse_vector_csv(text: str, kind: str) -> Portfolio | OriginationVector:
     """Parse one row or one column of numbers into a grade vector.
 
     ``kind`` is "portfolio" or "origination".  The sum must be within
-    ``tol`` of one and is renormalized; origination vectors must end in an
-    exact zero (no origination into default).
+    ``VECTOR_SUM_TOL`` of one and is renormalized; origination vectors must
+    end in an exact zero (no origination into default).
     """
     if kind not in ("portfolio", "origination"):
         raise InputError("invalid-argument",
@@ -94,21 +103,10 @@ def parse_vector_csv(text: str, kind: str,
     else:
         raise InputError("shape",
                          "vector file must be a single row or a single column")
-    values = np.array([_to_float(c, i + 1, 1) for i, c in enumerate(cells)])
-    if values.size < 2:
-        raise InputError("shape", "need at least two grades")
-    if (values < 0.0).any():
-        i = int(np.argmax(values < 0.0))
-        raise InputError("negative-entry",
-                         f"negative weight at position {i + 1}")
-    total = values.sum()
-    if abs(total - 1.0) > tol:
-        raise InputError("weight-sum",
-                         f"weights sum to {float(total)!r}, outside 1 +- {tol}")
-    if kind == "origination" and values[-1] != 0.0:
-        raise InputError("origination-into-default",
-                         "origination into the default grade must be 0")
-    values = values / total
+    values = _check_weights(
+        [_to_float(c, i + 1, 1) for i, c in enumerate(cells)], kind,
+        VECTOR_SUM_TOL, raw=True)
+    values = values / values.sum()
     return Portfolio(values) if kind == "portfolio" else OriginationVector(values)
 
 
@@ -131,17 +129,10 @@ def parse_scenario_csv(text: str) -> tuple[CreditIndexSeries | None,
     body = rows[1:]
     if not body:
         raise InputError("empty", "no data rows after the header")
-    width = len(header)
-    for i, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise InputError("ragged",
-                             f"row {i} has {len(row)} cells, expected {width}")
+    values = _float_rows(body, len(header), 2, skip=1)
     periods = tuple(row[0] for row in body)
     names = header[1:]
-    columns = {}
-    for j, name in enumerate(names, start=1):
-        columns[name] = np.array(
-            [_to_float(row[j], i + 2, j + 1) for i, row in enumerate(body)])
+    columns = dict(zip(names, values.T.copy()))
     series = None
     if CREDIT_INDEX_COLUMN in columns:
         series = CreditIndexSeries(columns.pop(CREDIT_INDEX_COLUMN), periods=periods)
@@ -197,13 +188,7 @@ def parse_path_csv(text: str) -> PathTable:
     body = rows[1:]
     if not body:
         raise InputError("empty", "no data rows after the header")
-    values = []
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise InputError("ragged",
-                             f"row {i} has {len(row)} cells, expected {len(header)}")
-        values.append([_to_float(c, i, j + 1) for j, c in enumerate(row)])
-    arr = np.array(values)
+    arr = _float_rows(body, len(header), 2)
     return PathTable(
         periods=arr[:, 0].astype(int),
         z=arr[:, 1],

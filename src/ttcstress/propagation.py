@@ -26,7 +26,12 @@ from .transition import TransitionMatrix, _check_rho, _stressed_rows
 _SUM_TOL = 1e-12
 
 
-def _check_weights(values, what: str) -> np.ndarray:
+def _check_weights(values, what: str, tol: float = _SUM_TOL,
+                   raw: bool = False) -> np.ndarray:
+    """Reject a would-be grade vector at its first failed check: at least
+    two grades, finite, nonnegative, summing to one within ``tol``.  ``raw``
+    input (a parsed file) gets the parser's sum message and n ulp of slack,
+    as in :func:`~ttcstress.transition._check_rates`."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InputError("shape", f"{what} must be a vector of length >= 2")
@@ -36,12 +41,22 @@ def _check_weights(values, what: str) -> np.ndarray:
         i = int(np.argmax(arr < 0.0))
         raise InputError("negative-entry",
                          f"{what} has a negative weight at position {i + 1}")
-    total = arr.sum()
-    if abs(total - 1.0) > _SUM_TOL:
-        raise InputError("weight-sum",
-                         f"{what} sums to {float(total)!r}, "
-                         f"expected 1 within {_SUM_TOL}")
+    total = float(arr.sum())
+    slack = arr.size * np.finfo(float).eps if raw else 0.0
+    if abs(total - 1.0) > tol + slack:
+        bound = f"outside 1 +- {tol}" if raw else f"expected 1 within {tol}"
+        raise InputError("weight-sum", f"{what} sums to {total!r}, {bound}")
     return arr
+
+
+def _check_sizes(**grades) -> None:
+    """The matrices and vectors given by name must share one grade count;
+    one given as None is skipped.  The message names them in that order."""
+    sizes = {name: g.n for name, g in grades.items() if g is not None}
+    if len(set(sizes.values())) > 1:
+        *head, last = (f"{name} ({n})" for name, n in sizes.items())
+        raise InputError("dimension-mismatch",
+                         f"{', '.join(head)} and {last} sizes must agree")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +168,14 @@ def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
     return books
 
 
-def _check_sizes(portfolio: Portfolio, tm: TransitionMatrix,
-                 origination: OriginationVector) -> None:
-    if portfolio.n != tm.n or origination.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         f"portfolio ({portfolio.n}), matrix ({tm.n}) and "
-                         f"origination ({origination.n}) sizes must agree")
+def _step_once(w: np.ndarray, tm: TransitionMatrix,
+               orig: np.ndarray) -> np.ndarray:
+    """One unstressed period of the book ``w``, as :func:`_propagate`'s row:
+    the book in the first n entries and the defaulted flow in entry n."""
+    b = _step_matrix(tm, orig)
+    out = np.empty((1, b.shape[1]))
+    _propagate(w, (b,), out)
+    return out[0]
 
 
 def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
@@ -170,19 +187,14 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
     balance flow of the period.  A matrix with rounded rows moves the book
     under its published rates and rescales the result to unit balance.
     """
-    _check_sizes(portfolio, tm, origination)
-    b = _step_matrix(tm, origination.weights)
-    out = np.empty((1, b.shape[1]))
-    return (Portfolio(_propagate(portfolio.weights, (b,), out)[0]),
-            float(out[0, tm.n]))
+    _check_sizes(portfolio=portfolio, matrix=tm, origination=origination)
+    row = _step_once(portfolio.weights, tm, origination.weights)
+    return Portfolio(row[:tm.n]), float(row[tm.n])
 
 
 def average_pd(portfolio: Portfolio, tm: TransitionMatrix) -> float:
     """Balance-weighted one-period default probability of the book."""
-    if portfolio.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         f"portfolio ({portfolio.n}) and matrix ({tm.n}) "
-                         "sizes must agree")
+    _check_sizes(portfolio=portfolio, matrix=tm)
     return float(portfolio.weights @ tm.default_column)
 
 
@@ -202,7 +214,7 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
         raise InputError("shape", "z path must be a non-empty vector")
     if not np.isfinite(z_arr).all():
         raise InputError("invalid-argument", "z path contains non-finite entries")
-    _check_sizes(initial, tm, origination)
+    _check_sizes(portfolio=initial, matrix=tm, origination=origination)
     m = z_arr.size
     n = tm.n
     orig = origination.weights

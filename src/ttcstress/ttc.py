@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, PrimitivityError
-from .propagation import (OriginationVector, Portfolio, _step_matrix,
-                          average_pd, propagate_step)
+from .propagation import (OriginationVector, Portfolio, _check_sizes,
+                          _step_matrix, _step_once, average_pd)
 from .transition import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -92,10 +92,10 @@ def build_m_p(tm: TransitionMatrix, origination: OriginationVector) -> np.ndarra
 
     Entry (j, i) is the probability mass grade i sends to grade j in one
     period: the direct migration plus the share of grade i's default flow
-    re-originated into j.  Every column sums to one because each performing
-    grade's full mass is redistributed.
+    re-originated into j.  Column i sums to row i's sum less
+    d_i (1 - sum of o), so to one within the inputs' own checks.
     """
-    _check_sizes(tm, origination)
+    _check_sizes(matrix=tm, origination=origination)
     return _m_p(tm.probs, origination.weights)
 
 
@@ -148,11 +148,11 @@ def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
     full = np.zeros(tm.n)
     full[:-1] = w / w.sum()
     w_ttc = Portfolio(full)
-    stepped, _ = propagate_step(w_ttc, tm, origination)
+    stepped = _step_once(full, tm, origination.weights)[:tm.n]
     return TTCResult(
         w_ttc=w_ttc,
         iterations=0,
-        final_step_delta=float(np.abs(stepped.weights - w_ttc.weights).sum()),
+        final_step_delta=float(np.abs(stepped - full).sum()),
         ttc_pd=average_pd(w_ttc, tm),
         spectral_gap_estimate=perron.lambda2,
     )
@@ -179,15 +179,11 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     non-primitive system the iteration then typically cycles and the raised
     :class:`ConvergenceError` carries a period-2 oscillation diagnostic.
     """
-    _check_solver_inputs(tm, origination, require_primitive)
+    _check_solver_inputs(tm, origination, require_primitive, initial)
     if max_iter < 1:
         raise InputError("invalid-argument", "max_iter must be >= 1")
     n = tm.n
     if initial is not None:
-        if initial.n != n:
-            raise InputError("dimension-mismatch",
-                             f"matrix ({n}) and initial portfolio "
-                             f"({initial.n}) sizes must agree")
         w = initial.weights.copy()
     else:
         w = np.zeros(n)
@@ -246,16 +242,9 @@ def _solve_unit_eigenvector(m_p: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _check_sizes(tm: TransitionMatrix, origination: OriginationVector) -> None:
-    if origination.n != tm.n:
-        raise InputError("dimension-mismatch",
-                         f"matrix ({tm.n}) and origination ({origination.n}) "
-                         "sizes must agree")
-
-
 def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
-                         require_primitive: bool) -> None:
-    _check_sizes(tm, origination)
+                         require_primitive: bool, initial=None) -> None:
+    _check_sizes(matrix=tm, origination=origination, initial=initial)
     reason = (_primitivity_defect(tm.performing_block > 0.0)
               if require_primitive else None)
     if reason is not None:
@@ -272,11 +261,10 @@ class PerronReport:
     None if the bordered system is singular), its fixed-point ``residual``,
     ``root`` and ``lambda2`` all come from one spectral computation on the
     M_p the propagation step uses: the published-rate one for a matrix with
-    rounded rows.  ``column_sums`` are those of :func:`build_m_p`.
+    rounded rows.  Its mass is not checked again after arithmetic: ``root``
+    states what a step keeps of it.
     """
 
-    column_sums: np.ndarray
-    column_sums_ok: bool
     residual: float
     residual_ok: bool
     lambda2: float
@@ -286,29 +274,26 @@ class PerronReport:
 
     @property
     def passed(self) -> bool:
-        return self.column_sums_ok and self.residual_ok and self.lambda2_ok
+        return self.residual_ok and self.lambda2_ok
 
 
 def verify_perron_structure(tm: TransitionMatrix,
                             origination: OriginationVector) -> PerronReport:
-    """Check the spectral facts the TTC solvers rely on, on the M_p of the
-    propagation step: the published-rate one for a matrix with rounded rows,
-    whose Perron vector, root and lambda_2 come from one ``eig``.  With exact
-    rows the root is 1: the bordered solve gives the fixed vector and
-    ``eigvals`` the rest.  Reports the column sums of :func:`build_m_p` (the
-    rates whose mass the step conserves, so each must equal one), the max-abs
-    change one unit-balance step M w / (1'M w) makes to the fixed vector, the
-    Perron root, and lambda_2, the second-largest eigenvalue modulus (0 for
-    one performing grade), which must lie below one.  Raises only for
-    mismatched sizes (as :func:`build_m_p`); failed checks are flags.
+    """Check the spectral facts the TTC solvers rely on, on the one M_p the
+    propagation step uses: the published-rate one for a matrix with rounded
+    rows, whose Perron vector, root and lambda_2 come from one ``eig``.
+    With exact rows the bordered solve gives the fixed vector and
+    ``eigvals`` the rest.  Reports the max-abs change one unit-balance step
+    M w / (1'M w) makes to the fixed vector, the Perron root, and lambda_2,
+    the second-largest eigenvalue modulus (0 for one performing grade),
+    which must lie below one.  Raises only for mismatched sizes.
     """
-    m_p = build_m_p(tm, origination)
-    col_sums = m_p.sum(axis=0)
-    col_ok = bool(np.abs(col_sums - 1.0).max() <= 1e-12)
+    _check_sizes(matrix=tm, origination=origination)
+    rates = tm.probs if tm.published is None else tm.published
+    m_p = _m_p(rates, origination.weights)
     if tm.published is None:
         w, vals = _solve_unit_eigenvector(m_p), np.linalg.eigvals(m_p)
     else:
-        m_p = _m_p(tm.published, origination.weights)
         vals, vecs = np.linalg.eig(m_p)
         v = vecs[:, int(np.argmax(vals.real))].real
         w = v / v.sum()
@@ -319,8 +304,6 @@ def verify_perron_structure(tm: TransitionMatrix,
     moduli = np.sort(np.abs(vals))
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
     return PerronReport(
-        column_sums=col_sums,
-        column_sums_ok=col_ok,
         residual=residual,
         residual_ok=residual <= 1e-10,
         lambda2=lam2,

@@ -78,6 +78,43 @@ class TestValidateCommand:
         assert code == 2
         assert "fail: not primitive" in out
 
+    def test_report_json_names_the_defect(self, tmp_path, capsys):
+        tm, p, o = write_counterexample(tmp_path)
+        code, out, _ = run("validate", "--matrix", tm, "--portfolio", p,
+                           "--origination", o, "--format", "json",
+                           capsys=capsys)
+        assert code == 2
+        assert json.loads(out) == {
+            "verdict": "fail: not primitive", "primitive": False,
+            "defect": "the grades cycle with period 2"}
+
+    # rows within 1e-12 of unit sum, which the parser keeps as given
+    EDGE_SYSTEMS = [
+        ("0.491900000001,0.1858,0.3223\n0.5329000000009999,0.0303,0.4368\n"
+         "0,0,1\n", "0.48,0.52,0\n", "0.84,0.16,0\n"),
+        ("0.38770000000099986,0.2545,0.3578\n"
+         "0.49890000000099993,0.0797,0.4214\n0,0,1\n", "0.13,0.87,0\n",
+         "0.34,0.66,0\n"),
+    ]
+
+    @pytest.mark.parametrize("matrix, orig, book", EDGE_SYSTEMS)
+    def test_rows_at_the_sum_bound_pass(self, matrix, orig, book, tmp_path,
+                                        capsys):
+        paths = []
+        for name, text in (("m.csv", matrix), ("o.csv", orig),
+                           ("b.csv", book)):
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        assert ts.parse_matrix_csv(matrix).published is None
+        m, o, b = paths
+        code, out, err = run("validate", "--matrix", m, "--portfolio", b,
+                             "--origination", o, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("verdict: pass\n")
+        code, _, err = run("ttc", "--matrix", m, "--origination", o,
+                           capsys=capsys)
+        assert (code, err) == (0, "")
+
     def test_out_dir_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "report"
         code, _, _ = run("validate", "--matrix", MATRIX, "--portfolio",
@@ -127,6 +164,22 @@ class TestPropagateCommand:
                            "--z", "1", "--scenario", SCENARIO, capsys=capsys)
         assert code == 3
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("header, message", [
+        ("period,credit_index", "scenario file has no macro variable columns"),
+        ("period,gdp_growth", "scenario file has no credit_index column"),
+    ])
+    def test_scenario_columns_named_as_in_fit_macro(self, header, message,
+                                                    tmp_path, capsys):
+        scenario = tmp_path / "s.csv"
+        scenario.write_text(header + "\n2020,0.02\n2021,0.03\n2022,0.01\n")
+        for argv in (("propagate", "--matrix", MATRIX, "--portfolio",
+                      MIDGRADE, "--origination", ORIGINATION),
+                     ("fit-macro",)):
+            code, out, err = run(*argv, "--scenario", str(scenario),
+                                 capsys=capsys)
+            assert (code, out) == (3, "")
+            assert err == f"ttcstress: input error [missing-column]: {message}\n"
 
 
 class TestStressMatrixCommand:
@@ -239,7 +292,7 @@ class TestUsageErrors:
             assert code == 3
             errors.append(err)
         assert errors == [
-            "ttcstress: input error [weight-sum]: weights sum to 0.9, "
+            "ttcstress: input error [weight-sum]: portfolio sums to 0.9, "
             "outside 1 +- 1e-06\n",
             "ttcstress: input error [row-sum]: row 1 sums to 1.1, "
             "outside 1 +- 0.0001\n"]

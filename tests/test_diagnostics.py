@@ -158,6 +158,54 @@ class TestRunValidation:
             ts.run_validation(ttc8.w_ttc, matrix8, origination8, horizon=0)
 
 
+def edge_row_system(rng: np.random.Generator, n: int):
+    """A seeded n-grade system of four-decimal rows, each row's first entry
+    moved up by ulps until the row sums to the largest double within 1e-12
+    of one, which validation keeps as given; origination and book are
+    two-decimal mixes over the performing grades."""
+    def within(row):
+        return abs(row.sum() - 1.0) <= 1e-12
+
+    probs = np.zeros((n, n))
+    probs[-1, -1] = 1.0
+    for row in probs[:-1]:
+        row[:] = (rng.multinomial(10_000 - n, np.ones(n) / n) + 1) / 1e4
+        row[0] += 1.0 + 1e-12 - row.sum()
+        while not within(row):
+            row[0] = np.nextafter(row[0], 0.0)
+        while True:
+            up = row.copy()
+            up[0] = np.nextafter(row[0], 1.0)
+            if not within(up):
+                break
+            row[0] = up[0]
+    tm = ts.validate_transition_matrix(probs)
+    assert tm.published is None and np.array_equal(tm.probs, probs)
+    mixes = []
+    for _ in range(2):
+        w = np.zeros(n)
+        w[:-1] = (rng.multinomial(100 - (n - 1), np.ones(n - 1) / (n - 1))
+                  + 1) / 100
+        mixes.append(w)
+    return tm, ts.OriginationVector(mixes[0]), ts.Portfolio(mixes[1])
+
+
+class TestRowsAtTheSumBound:
+    """Rows that validation keeps as given, at 1e-12 from unit sum, are
+    valid input: no check after arithmetic may reject them again."""
+
+    def test_seeded_sweep(self):
+        for seed in range(150):
+            rng = np.random.default_rng(9100 + seed)
+            tm, orig, book = edge_row_system(rng, int(rng.integers(3, 6)))
+            report = ts.run_validation(book, tm, orig)
+            assert report.primitive and report.perron.passed, seed
+            assert report.verdict != "fail: degenerate spectral structure"
+            result = ts.solve_ttc(tm, orig)
+            assert np.array_equal(result.w_ttc.weights,
+                                  report.ttc.w_ttc.weights)
+
+
 def _validation_systems():
     rng = np.random.default_rng(20240)
     systems = [random_system(rng, n) for n in (2, 3, 5, 8, 13, 21)]

@@ -117,6 +117,18 @@ class TestParseVectorCsv:
             ts.parse_vector_csv("0.5,0.4", "portfolio")
         assert err.value.code == "weight-sum"
 
+    @pytest.mark.parametrize("text, code", [
+        ("0.6,-0.1,0.5", "negative-entry"),
+        ("1", "shape"),
+        ("0.5,nan", "invalid-argument"),
+    ])
+    def test_vector_checks_are_the_vector_types(self, text, code):
+        for kind in ("portfolio", "origination"):
+            with pytest.raises(InputError) as err:
+                ts.parse_vector_csv(text, kind)
+            assert err.value.code == code
+            assert str(err.value).startswith(kind + " ")
+
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(InputError) as err:
             ts.parse_vector_csv("0.5,0.5\n0.5,0.5\n", "portfolio")

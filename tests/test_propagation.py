@@ -92,14 +92,31 @@ class TestPropagateStep:
     def test_project_path_shares_the_size_check(self, three_grade, matrix8):
         _, orig = three_grade
         book = ts.Portfolio([0.5, 0.5, 0.0])
+        orig8 = ts.OriginationVector(np.full(8, 1.0 / 7) * (np.arange(8) < 7))
+        book8 = ts.Portfolio(orig8.weights)
         message = ("portfolio (3), matrix (8) and origination (3) sizes "
                    "must agree")
-        for call in (lambda: ts.propagate_step(book, matrix8, orig),
-                     lambda: ts.project_path(book, matrix8, orig, 0.2, [-1.0])):
+        for call, text in (
+                (lambda: ts.propagate_step(book, matrix8, orig), message),
+                (lambda: ts.project_path(book, matrix8, orig, 0.2, [-1.0]),
+                 message),
+                (lambda: ts.average_pd(book, matrix8),
+                 "portfolio (3) and matrix (8) sizes must agree"),
+                (lambda: ts.build_m_p(matrix8, orig),
+                 "matrix (8) and origination (3) sizes must agree"),
+                (lambda: ts.solve_ttc(matrix8, orig),
+                 "matrix (8) and origination (3) sizes must agree"),
+                (lambda: ts.verify_perron_structure(matrix8, orig),
+                 "matrix (8) and origination (3) sizes must agree"),
+                (lambda: ts.solve_ttc_iterative(matrix8, orig8, initial=book),
+                 "matrix (8), origination (8) and initial (3) sizes must "
+                 "agree"),
+                (lambda: ts.compare_portfolios(book, book8, matrix8),
+                 "current (3), ttc (8) and matrix (8) sizes must agree")):
             with pytest.raises(InputError) as err:
                 call()
             assert (err.value.code, str(err.value)) == ("dimension-mismatch",
-                                                        message)
+                                                        text)
         with pytest.raises(InputError) as err:  # the z path is checked first
             ts.project_path(book, matrix8, orig, 0.2, [np.nan])
         assert err.value.code == "invalid-argument"

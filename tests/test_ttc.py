@@ -231,8 +231,6 @@ class TestProductionSolver:
 class TestPerronStructure:
     def test_bundled_system(self, matrix8, origination8):
         report = ts.verify_perron_structure(matrix8, origination8)
-        assert report.column_sums_ok
-        assert np.abs(report.column_sums - 1.0).max() <= 1e-12
         assert report.residual <= 1e-10
         assert report.lambda2 < 1.0
         assert report.passed
