@@ -105,7 +105,7 @@ def parse_vector_csv(text: str, kind: str) -> Portfolio | OriginationVector:
                          "vector file must be a single row or a single column")
     values = _check_weights(
         [_to_float(c, i + 1, 1) for i, c in enumerate(cells)], kind,
-        VECTOR_SUM_TOL, raw=True)
+        VECTOR_SUM_TOL)
     values = values / values.sum()
     return Portfolio(values) if kind == "portfolio" else OriginationVector(values)
 

@@ -21,17 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .transition import TransitionMatrix, _check_rho, _stressed_rows
+from .transition import _EPS, TransitionMatrix, _check_rho, _stressed_rows
 
 _SUM_TOL = 1e-12
 
 
-def _check_weights(values, what: str, tol: float = _SUM_TOL,
-                   raw: bool = False) -> np.ndarray:
+def _check_weights(values, what: str, tol: float = _SUM_TOL) -> np.ndarray:
     """Reject a would-be grade vector at its first failed check: at least
-    two grades, finite, nonnegative, summing to one within ``tol``.  ``raw``
-    input (a parsed file) gets the parser's sum message and n ulp of slack,
-    as in :func:`~ttcstress.transition._check_rates`."""
+    two grades, finite, nonnegative, summing to one within ``tol``.  A
+    failed sum reads "``what`` sums to s, outside 1 +- tol", and the bound
+    has n ulp of slack, as in :func:`~ttcstress.transition._check_rates`."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InputError("shape", f"{what} must be a vector of length >= 2")
@@ -42,10 +41,9 @@ def _check_weights(values, what: str, tol: float = _SUM_TOL,
         raise InputError("negative-entry",
                          f"{what} has a negative weight at position {i + 1}")
     total = float(arr.sum())
-    slack = arr.size * np.finfo(float).eps if raw else 0.0
-    if abs(total - 1.0) > tol + slack:
-        bound = f"outside 1 +- {tol}" if raw else f"expected 1 within {tol}"
-        raise InputError("weight-sum", f"{what} sums to {total!r}, {bound}")
+    if abs(total - 1.0) > tol + arr.size * _EPS:
+        raise InputError("weight-sum",
+                         f"{what} sums to {total!r}, outside 1 +- {tol}")
     return arr
 
 
@@ -117,12 +115,6 @@ class ProjectionPath:
     def pd_series(self) -> np.ndarray:
         """Average PD per period including period 0, length m + 1."""
         return np.concatenate(([self.initial_pd], self.avg_pds))
-
-    def portfolio_at(self, t: int) -> Portfolio:
-        """Portfolio after period t (t = 0 returns the initial portfolio)."""
-        if t == 0:
-            return self.initial
-        return Portfolio(self.portfolios[t - 1])
 
 
 def _fill_step(b: np.ndarray, orig: np.ndarray) -> np.ndarray:
@@ -230,10 +222,6 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
         stack = np.zeros((int(stressed_at.sum()), n, n + 1))
         _stressed_rows(tm, rho, z_arr[stressed_at], out=stack[:, :-1, :n])
         stack[:, -1, n - 1] = 1.0
-        if not np.isfinite(stack).all():
-            raise InputError("invalid-argument",
-                             "stressed transition matrix contains non-finite "
-                             "entries")
         _fill_step(stack, orig)
         for t, b in zip(np.flatnonzero(stressed_at), stack):
             steps[t] = b

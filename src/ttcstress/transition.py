@@ -15,7 +15,7 @@ same stressed value, so it is copied rather than evaluated again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .normal import std_normal_cdf, std_normal_inv_cdf
 ROW_SUM_TOL = 1e-6
 _STRICT_ROW_TOL = 1e-12
 _NEG_CLAMP = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,28 +33,28 @@ class TransitionMatrix:
     """Validated n x n one-period rating transition matrix.
 
     Grade n (last row/column) is the absorbing default state.  ``probs``
-    rows sum to one within 1e-12; use :func:`validate_transition_matrix` to
-    repair raw data that is only approximately stochastic.
+    passes :func:`_check_rates` at 1e-12; use
+    :func:`validate_transition_matrix` to repair raw data that is only
+    approximately stochastic.
 
-    ``published`` is None for a matrix whose rows were already stochastic.
-    When validation rescaled rows (published tables are rounded), it keeps
-    the rates as given, and only the rescaled rows differ from ``probs``.
-    The TTC portfolio and the zero-stress propagation step run on these
-    published rates, with the book rescaled to unit balance after each
-    period; the default column, the propagation matrix M_p, the stress
-    transform and every emitted matrix use the row-stochastic ``probs``.
+    ``published`` records how a table was parsed, and only
+    :func:`validate_transition_matrix` sets it.  It is None for a matrix
+    whose rows were already stochastic.  When validation rescaled rows
+    (published tables are rounded), it keeps the rates as given, and only
+    the rescaled rows differ from ``probs``.  The TTC portfolio and the
+    zero-stress propagation step run on these published rates, with the
+    book rescaled to unit balance after each period; the default column,
+    the propagation matrix M_p, the stress transform and every emitted
+    matrix use the row-stochastic ``probs``.
     """
 
     probs: np.ndarray
-    published: np.ndarray | None = None
+    published: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        _check_rates(arr, _STRICT_ROW_TOL, raw=False)
+        _check_rates(arr, _STRICT_ROW_TOL)
         object.__setattr__(self, "probs", arr)
-        if self.published is not None:
-            object.__setattr__(self, "published",
-                               _check_published(self.published, arr))
 
     @property
     def n(self) -> int:
@@ -70,22 +71,19 @@ class TransitionMatrix:
         return self.probs[:, -1]
 
 
-def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
+def _check_rates(arr: np.ndarray, tol: float) -> np.ndarray:
     """Reject a would-be transition matrix at its first failed check, in
     this order: square with two grades or more, finite, nonnegative, rows
     summing to one within ``tol``, absorbing last row.  Returns the row
-    sums.  ``raw`` input gets :func:`validate_transition_matrix`'s messages:
-    the non-finite entry is located and the row-sum bound is ``tol``, with n
-    ulp of slack so that the summation's rounding cannot reject a row that
-    sits exactly on it."""
+    sums.  A failed entry is located by row and column, a failed row sum
+    reads "row i sums to s, outside 1 +- tol", and the bound has n ulp of
+    slack so that the summation's rounding cannot reject a row that sits
+    exactly on it."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("shape", "transition matrix must be square")
     if arr.shape[0] < 2:
         raise InputError("shape", "need at least two rating grades")
     if not np.isfinite(arr).all():
-        if not raw:
-            raise InputError("invalid-argument",
-                             "transition matrix contains non-finite entries")
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise InputError("invalid-argument",
                          f"non-finite entry at row {i + 1}, column {j + 1}")
@@ -94,13 +92,11 @@ def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
         raise InputError("negative-entry",
                          f"negative probability at row {i + 1}, column {j + 1}")
     sums = arr.sum(axis=1)
-    slack = arr.shape[0] * np.finfo(float).eps if raw else 0.0
-    bad = np.abs(sums - 1.0) > tol + slack
+    bad = np.abs(sums - 1.0) > tol + arr.shape[0] * _EPS
     if bad.any():
         i = int(np.argmax(bad))
-        bound = f"outside 1 +- {tol}" if raw else f"expected 1 within {tol}"
-        raise InputError("row-sum",
-                         f"row {i + 1} sums to {float(sums[i])!r}, {bound}")
+        raise InputError("row-sum", f"row {i + 1} sums to {float(sums[i])!r}, "
+                                    f"outside 1 +- {tol}")
     last = arr[-1]
     if last[-1] != 1.0 or (last[:-1] != 0.0).any():
         raise InputError("absorbing-row",
@@ -109,34 +105,19 @@ def _check_rates(arr: np.ndarray, tol: float, raw: bool) -> np.ndarray:
     return sums
 
 
-def _check_published(raw, probs: np.ndarray) -> np.ndarray:
-    pub = np.asarray(raw, dtype=float)
-    if (pub.shape != probs.shape or not np.isfinite(pub).all()
-            or (pub < 0.0).any()):
-        raise InputError("invalid-argument",
-                         "published rates must be a finite nonnegative "
-                         "matrix of the transition matrix's shape")
-    sums = pub.sum(axis=1)
-    if ((sums <= 0.0).any()
-            or np.abs(pub / sums[:, None] - probs).max() > _STRICT_ROW_TOL):
-        raise InputError("invalid-argument",
-                         "published rates must rescale row by row to the "
-                         "transition matrix")
-    return pub
-
-
 def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatrix:
     """Validate a raw square matrix and renormalize its rows.
 
-    Rows whose sums deviate from one by more than 1e-12 but at most ``tol``
-    are rescaled (already-stochastic rows pass through unchanged); larger
-    deviations, negative entries, or a non-absorbing last row are rejected
-    with error codes naming the offending cell.  When any row was rescaled
-    the returned matrix keeps the rates as given in ``published``; otherwise
-    ``published`` is None.
+    The checks are :func:`_check_rates` at ``tol``: a failure has the code
+    and wording it has in :class:`TransitionMatrix`, whose bound is 1e-12,
+    with the same n ulp of slack.  Rows whose sums deviate from one by more
+    than 1e-12 but pass at ``tol`` are rescaled (already-stochastic rows
+    pass through unchanged).  When any row was rescaled the returned matrix
+    keeps the rates as given in ``published``, which only this function
+    sets; otherwise ``published`` is None.
     """
     arr = np.array(raw, dtype=float)
-    sums = _check_rates(arr, tol, raw=True)
+    sums = _check_rates(arr, tol)
     # rescale only rows that need it, so already-valid matrices pass through
     # bit for bit (parse/emit round trips stay exact)
     needs = np.abs(sums - 1.0) > _STRICT_ROW_TOL
@@ -144,7 +125,9 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
         return TransitionMatrix(arr)
     probs = arr.copy()
     probs[needs] = arr[needs] / sums[needs, None]
-    return TransitionMatrix(probs, published=arr)
+    tm = TransitionMatrix(probs)
+    object.__setattr__(tm, "published", arr)
+    return tm
 
 
 def _check_rho(rho: float) -> float:

@@ -66,7 +66,7 @@ class TestStepKernel:
         for tm, orig, book, rho, z in seeded_cases(20):
             path = ts.project_path(book, tm, orig, rho, z)
             for t in range(z.size):
-                pd = ts.average_pd(path.portfolio_at(t + 1), tm)
+                pd = ts.average_pd(ts.Portfolio(path.portfolios[t]), tm)
                 assert abs(path.avg_pds[t] - pd) <= 1e-16
 
 

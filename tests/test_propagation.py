@@ -27,8 +27,7 @@ class TestVectorTypes:
     def test_weight_sum_is_printed_as_a_plain_number(self):
         with pytest.raises(InputError) as err:
             ts.Portfolio([0.5, 0.4, 0.0])
-        assert str(err.value) == ("portfolio sums to 0.9, expected 1 within "
-                                  "1e-12")
+        assert str(err.value) == "portfolio sums to 0.9, outside 1 +- 1e-12"
 
     def test_portfolio_rejects_negative_weight(self):
         with pytest.raises(InputError) as err:
@@ -51,6 +50,18 @@ class TestPropagateStep:
         after, flow = ts.propagate_step(ts.Portfolio([1.0, 0.0, 0.0]), tm, orig)
         assert flow == pytest.approx(0.1, abs=1e-15)
         assert np.allclose(after.weights, [0.85, 0.15, 0.0], atol=1e-15)
+
+    def test_step_from_ttc_with_rows_at_the_sum_bound(self):
+        # rows kept as given by validation; one step leaves the book's mass
+        # at 1 + 1.00009e-12, inside the slack of the 1e-12 sum check
+        tm = ts.validate_transition_matrix(
+            [[0.491900000001, 0.1858, 0.3223],
+             [0.5329000000009999, 0.0303, 0.4368], [0.0, 0.0, 1.0]])
+        orig = ts.OriginationVector([0.48, 0.52, 0.0])
+        assert tm.published is None
+        after, flow = ts.propagate_step(ts.solve_ttc(tm, orig).w_ttc, tm, orig)
+        assert abs(after.weights.sum() - 1.0) > 1e-12
+        assert 0.0 < flow < 1.0
 
     def test_identity_matrix_keeps_performing_book(self):
         tm = ts.validate_transition_matrix(np.eye(4))
@@ -215,8 +226,9 @@ class TestProjectPath:
         series = path.pd_series()
         assert series.shape == (8,)
         assert series[0] == ts.average_pd(start, matrix8)
-        assert path.portfolio_at(0) is start
-        assert np.array_equal(path.portfolio_at(3).weights, path.portfolios[2])
+        assert path.initial is start
+        pd3 = ts.average_pd(ts.Portfolio(path.portfolios[2]), matrix8)
+        assert abs(series[3] - pd3) <= 1e-16
 
     def test_empty_z_path_rejected(self, matrix8, origination8, portfolios):
         with pytest.raises(InputError):

@@ -74,54 +74,65 @@ class TestValidation:
         assert tm.published is None
         assert ts.stress_transition_matrix(tm, 0.2, -1.0).published is None
 
-    def test_inconsistent_published_rates_rejected(self):
-        with pytest.raises(InputError) as err:
-            ts.TransitionMatrix(np.array([[0.9, 0.1], [0.0, 1.0]]),
-                                published=[[0.8, 0.1], [0.0, 1.0]])
-        assert err.value.code == "invalid-argument"
+    def test_published_is_not_an_input(self):
+        probs = np.array([[0.9, 0.1], [0.0, 1.0]])
+        with pytest.raises(TypeError):
+            ts.TransitionMatrix(probs, published=[[0.8, 0.1], [0.0, 1.0]])
+        assert ts.TransitionMatrix(probs).published is None
 
 
 class TestCheckOrder:
     """Each input fails at its first failed check, in this order: shape,
     finite, sign, row sum, absorbing row.  ``TransitionMatrix`` and
-    ``validate_transition_matrix`` word the finite and row-sum checks
-    differently."""
+    ``validate_transition_matrix`` share one wording for every check and
+    differ only in the row-sum bound."""
 
     ABSORBING = "row 2 must be (0, ..., 0, 1): the default grade is absorbing"
     # the row sum is printed as the repr of a Python float
     SUM_11 = repr(float(np.array([0.5, 0.6]).sum()))
     SUM_1E7 = repr(float(np.array([0.5, 0.5000001]).sum()))
-
-    @pytest.mark.parametrize("raw, code, direct, validated", [
+    # the last column is what the parser's default bound of 1e-6 gives
+    # instead, where it differs: only the row sums read otherwise
+    CASES = [
         ([[np.nan, -1.0, 2.0]], "shape", "transition matrix must be square",
          None),
         ([[np.nan]], "shape", "need at least two rating grades", None),
         ([[0.5, 0.5], [np.inf, np.nan]], "invalid-argument",
-         "transition matrix contains non-finite entries",
-         "non-finite entry at row 2, column 1"),
+         "non-finite entry at row 2, column 1", None),
         ([[0.5, -np.inf], [-1.0, 3.0]], "invalid-argument",
-         "transition matrix contains non-finite entries",
-         "non-finite entry at row 1, column 2"),
+         "non-finite entry at row 1, column 2", None),
         ([[1.5, -0.5], [0.5, 0.7]], "negative-entry",
          "negative probability at row 1, column 2", None),
         ([[0.5, 0.6], [0.1, 0.9]], "row-sum",
-         f"row 1 sums to {SUM_11}, expected 1 within 1e-12",
-         f"row 1 sums to {SUM_11}, outside 1 +- 1e-06"),
+         f"row 1 sums to {SUM_11}, outside 1 +- 1e-12",
+         ("row-sum", f"row 1 sums to {SUM_11}, outside 1 +- 1e-06")),
         ([[0.5, 0.5000001], [0.1, 0.9]], "row-sum",
-         f"row 1 sums to {SUM_1E7}, expected 1 within 1e-12", ABSORBING),
+         f"row 1 sums to {SUM_1E7}, outside 1 +- 1e-12",
+         ("absorbing-row", ABSORBING)),
         ([[0.9, 0.1], [0.1, 0.9]], "absorbing-row", ABSORBING, None),
-    ])
-    def test_first_failed_check(self, raw, code, direct, validated):
+    ]
+
+    @pytest.mark.parametrize("raw, code, message, at_default_tol", CASES)
+    def test_first_failed_check(self, raw, code, message, at_default_tol):
         arr = np.array(raw)
         with pytest.raises(InputError) as err:
             ts.TransitionMatrix(arr)
-        assert (err.value.code, str(err.value)) == (code, direct)
+        assert (err.value.code, str(err.value)) == (code, message)
         with pytest.raises(InputError) as err:
             ts.validate_transition_matrix(arr)
-        expected = direct if validated is None else validated
-        assert str(err.value) == expected
-        assert err.value.code == ("absorbing-row" if expected == self.ABSORBING
-                                  else code)
+        assert ((err.value.code, str(err.value))
+                == (at_default_tol or (code, message)))
+
+    @pytest.mark.parametrize("raw, code, message, at_default_tol", CASES)
+    def test_matrix_and_validation_at_1e12_fail_alike(
+            self, raw, code, message, at_default_tol):
+        arr = np.array(raw)
+        with pytest.raises(InputError) as direct:
+            ts.TransitionMatrix(arr)
+        with pytest.raises(InputError) as validated:
+            ts.validate_transition_matrix(arr, tol=1e-12)
+        assert ((validated.value.code, str(validated.value))
+                == (direct.value.code, str(direct.value)))
 
 
 class TestPitPd:
