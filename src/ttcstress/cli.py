@@ -107,9 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("diagnose", "classify an existing projection path CSV", _cmd_diagnose)
     p.add_argument("--path", type=Path, required=True,
                    help="CSV produced by the propagate command")
-    p.add_argument("--band", type=float, default=DEFAULT_BAND,
-                   help="spurious-excursion band relative to the terminal PD")
-    _add_common(p, ("json",))
+    _add_common(p, ("json",), band=True)
 
     return parser
 

@@ -110,8 +110,8 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
 
     The checks are :func:`_check_rates` at ``tol``: a failure has the code
     and wording it has in :class:`TransitionMatrix`, whose bound is 1e-12,
-    with the same n ulp of slack.  Rows whose sums deviate from one by more
-    than 1e-12 but pass at ``tol`` are rescaled (already-stochastic rows
+    with the same n ulp of slack.  Rows that :class:`TransitionMatrix`
+    would reject but ``tol`` lets pass are rescaled (already-stochastic rows
     pass through unchanged).  When any row was rescaled the returned matrix
     keeps the rates as given in ``published``, which only this function
     sets; otherwise ``published`` is None.
@@ -120,7 +120,7 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     sums = _check_rates(arr, tol)
     # rescale only rows that need it, so already-valid matrices pass through
     # bit for bit (parse/emit round trips stay exact)
-    needs = np.abs(sums - 1.0) > _STRICT_ROW_TOL
+    needs = np.abs(sums - 1.0) > _STRICT_ROW_TOL + arr.shape[0] * _EPS
     if not needs.any():
         return TransitionMatrix(arr)
     probs = arr.copy()
@@ -161,8 +161,14 @@ def pit_pd(p_ttc: float, rho: float, z: float) -> float:
     z = _check_z(z)
     if rho == 0.0 or z == 0.0:
         return p_ttc
-    shifted = (std_normal_inv_cdf(p_ttc) - np.sqrt(rho) * z) / np.sqrt(1.0 - rho)
-    return std_normal_cdf(shifted)
+    return std_normal_cdf(_shifted_quantile(std_normal_inv_cdf(p_ttc), rho, z))
+
+
+def _shifted_quantile(q, rho: float, z):
+    """The one-factor argument (q - sqrt(rho) z) / sqrt(1 - rho); where it
+    overflows to +-inf (rho near one, |z| huge), Phi gives the limit."""
+    with np.errstate(over="ignore"):
+        return (q - np.sqrt(rho) * z) / np.sqrt(1.0 - rho)
 
 
 def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
@@ -187,9 +193,7 @@ def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
     new[:, 0] = True
     np.not_equal(tails[:, 1:], tails[:, :-1], out=new[:, 1:])
     q = std_normal_inv_cdf(tails[new])
-    shift = np.sqrt(rho) * z[:, None]
-    scale = np.sqrt(1.0 - rho)
-    vals = std_normal_cdf((q - shift) / scale)
+    vals = std_normal_cdf(_shifted_quantile(q, rho, z[:, None]))
     stressed = np.empty((z.size, n - 1, n + 1))
     stressed[:, :, 0] = 1.0
     stressed[:, :, n] = 0.0

@@ -16,9 +16,9 @@ oracle).  They must agree; tests hold them to 1e-8 and better.
 A matrix whose rows were rounded (``TransitionMatrix.published`` is set)
 defines its TTC portfolio on the published rates: it is the fixed point of
 the propagation step with the book rescaled to unit balance, which is the
-normalised Perron vector of the published-rate M_p.  Its Perron root
-differs from one by the rounding, so one eigendecomposition of it gives the
-TTC portfolio, the root and lambda_2 in place of the bordered system.
+normalised Perron vector of the published-rate M_p.  Its Perron root r
+differs from one by the rounding, so the bordered system becomes
+(M_p - r I) w = 0, with r from the ``eigvals`` that also gives lambda_2.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes,
-                          _step_matrix, _step_once, average_pd)
+                          _propagate, _step_matrix, _step_once, average_pd)
 from .transition import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -170,7 +170,7 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     applies the propagation step until the L1 change between iterates drops
     below ``tol``.  ``spectral_gap_estimate`` is the ratio of the last two
     L1 deltas, taken near ``tol`` where rounding dominates: 0.9402954 on the
-    bundled data against the exact lambda_2 0.9403729 that
+    bundled data against the exact lambda_2 0.9403702 that
     :func:`solve_ttc` reports.  The step is
     :func:`~ttcstress.propagation.propagate_step`'s, so a matrix with
     rounded rows iterates on its published rates at unit balance.
@@ -182,18 +182,16 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     _check_solver_inputs(tm, origination, require_primitive, initial)
     if max_iter < 1:
         raise InputError("invalid-argument", "max_iter must be >= 1")
-    n = tm.n
     if initial is not None:
         w = initial.weights.copy()
     else:
-        w = np.zeros(n)
-        w[:-1] = 1.0 / (n - 1)
+        w = np.zeros(tm.n)
+        w[:-1] = 1.0 / (tm.n - 1)
     b = _step_matrix(tm, origination.weights)
-    rescale = b.shape[1] == n + 2
     prev1, prev2, two_back, prev_delta, gap = w, None, None, None, 0.0
     for it in range(1, max_iter + 1):
-        moved = prev1 @ b  # as in _propagate, without its per-call set-up
-        w = moved[:n] / moved[n + 1] if rescale else moved[:n]
+        # a fresh row per step: the last three iterates are kept
+        w = _propagate(prev1, (b,), np.empty((1, b.shape[1])))[0]
         delta = float(np.abs(w - prev1).sum())
         if prev_delta is not None and prev_delta > 0.0:
             gap = delta / prev_delta
@@ -228,11 +226,13 @@ def solve_ttc_direct(tm: TransitionMatrix,
     return solve_ttc(tm, origination).w_ttc
 
 
-def _solve_unit_eigenvector(m_p: np.ndarray) -> np.ndarray | None:
-    """Solve (M_p - I) w = 0 with one row swapped for the mass constraint;
-    None if that system is singular (the fixed vector is not unique)."""
+def _solve_unit_eigenvector(m_p: np.ndarray,
+                            root: float) -> np.ndarray | None:
+    """Solve (M_p - root I) w = 0 with one row swapped for the mass
+    constraint; None if that system is singular (the fixed vector is not
+    unique)."""
     m = m_p.shape[0]
-    a = m_p - np.eye(m)
+    a = m_p - root * np.eye(m)
     a[-1, :] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
@@ -259,10 +259,10 @@ class PerronReport:
 
     ``fixed_vector`` (the TTC portfolio on the performing grades, unit mass;
     None if the bordered system is singular), its fixed-point ``residual``,
-    ``root`` and ``lambda2`` all come from one spectral computation on the
-    M_p the propagation step uses: the published-rate one for a matrix with
-    rounded rows.  Its mass is not checked again after arithmetic: ``root``
-    states what a step keeps of it.
+    ``root`` and ``lambda2`` all come from one ``eigvals`` and one bordered
+    solve of the M_p the propagation step uses: the published-rate one for
+    a matrix with rounded rows.  Its mass is not checked again after
+    arithmetic: ``root`` states what a step keeps of it.
     """
 
     residual: float
@@ -281,33 +281,29 @@ def verify_perron_structure(tm: TransitionMatrix,
                             origination: OriginationVector) -> PerronReport:
     """Check the spectral facts the TTC solvers rely on, on the one M_p the
     propagation step uses: the published-rate one for a matrix with rounded
-    rows, whose Perron vector, root and lambda_2 come from one ``eig``.
-    With exact rows the bordered solve gives the fixed vector and
-    ``eigvals`` the rest.  Reports the max-abs change one unit-balance step
-    M w / (1'M w) makes to the fixed vector, the Perron root, and lambda_2,
-    the second-largest eigenvalue modulus (0 for one performing grade),
-    which must lie below one.  Raises only for mismatched sizes.
+    rows.  One ``eigvals`` gives the Perron root r and lambda_2, the
+    second-largest eigenvalue modulus (0 for one performing grade), which
+    must lie below one.  One bordered solve of (M_p - r I) w = 0 gives the
+    fixed vector, with r taken as exactly one for stochastic rows.  Reports
+    the max-abs change one unit-balance step M w / (1'M w) makes to the
+    fixed vector, the root and lambda_2.  Raises only for mismatched sizes.
     """
     _check_sizes(matrix=tm, origination=origination)
     rates = tm.probs if tm.published is None else tm.published
     m_p = _m_p(rates, origination.weights)
-    if tm.published is None:
-        w, vals = _solve_unit_eigenvector(m_p), np.linalg.eigvals(m_p)
-    else:
-        vals, vecs = np.linalg.eig(m_p)
-        v = vecs[:, int(np.argmax(vals.real))].real
-        w = v / v.sum()
+    moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
+    root = float(moduli[-1])
+    w = _solve_unit_eigenvector(m_p, 1.0 if tm.published is None else root)
     residual = float("inf")
     if w is not None:
         stepped = m_p @ w
         residual = float(np.abs(stepped / stepped.sum() - w).max())
-    moduli = np.sort(np.abs(vals))
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
     return PerronReport(
         residual=residual,
         residual_ok=residual <= 1e-10,
         lambda2=lam2,
         lambda2_ok=lam2 < 1.0,
-        root=float(moduli[-1]),
+        root=root,
         fixed_vector=w,
     )

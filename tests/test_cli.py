@@ -201,6 +201,20 @@ class TestStressMatrixCommand:
         assert stressed.default_column[3] > matrix8.default_column[3]
 
 
+class TestOverflowingStress:
+    @pytest.mark.parametrize("argv", [
+        ("propagate", "--portfolio", BARBELL, "--origination", ORIGINATION),
+        ("stress-matrix",)])
+    def test_no_warning_on_stderr(self, argv):
+        # (Phi^-1 - sqrt(rho) z) / sqrt(1 - rho) overflows to inf here,
+        # whose Phi is the intended limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttcstress", *argv, "--matrix", MATRIX,
+             "--z=-1e308", "--rho", "0.9999999999999999"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestFitMacroCommand:
     def test_text_output(self, capsys):
         code, out, _ = run("fit-macro", "--scenario", SCENARIO, "--lag", "1",

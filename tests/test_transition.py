@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,15 @@ class TestValidation:
         assert np.array_equal(tm.published, raw)
         changed = np.flatnonzero((tm.published != tm.probs).any(axis=1))
         assert changed.tolist() == [2, 3, 4, 6]
+
+    def test_rows_within_the_checks_slack_are_kept_as_given(self):
+        # row 1 sums to 1 + 1.0000889e-12: outside 1e-12, inside its n ulp
+        # of slack, so TransitionMatrix accepts it and it needs no repair
+        arr = np.array([[0.49190000000100004, 0.1858, 0.3223],
+                        [0.5329, 0.0303, 0.4368], [0.0, 0.0, 1.0]])
+        tm = ts.validate_transition_matrix(arr)
+        assert tm.published is None
+        assert np.array_equal(tm.probs, ts.TransitionMatrix(arr).probs)
 
     def test_no_published_rates_for_stochastic_rows(self):
         tm = ts.validate_transition_matrix([[0.9, 0.1], [0.0, 1.0]])
@@ -153,6 +164,11 @@ class TestPitPd:
     def test_recession_raises_pd_boom_lowers_it(self):
         assert ts.pit_pd(0.02, rho=0.15, z=-1.0) > 0.02
         assert ts.pit_pd(0.02, rho=0.15, z=1.0) < ts.pit_pd(0.02, 0.15, -1.0)
+
+    def test_overflowing_argument_is_the_limit_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ts.pit_pd(0.5, 0.9999999999999999, -1e308) == 1.0
 
     @pytest.mark.parametrize("p", [float("nan"), -0.2, 1.2])
     def test_bad_probability_rejected(self, p):

@@ -7,7 +7,8 @@ import ttcstress as ts
 from ttcstress.errors import ConvergenceError, InputError, PrimitivityError
 
 from conftest import (TTC_PD_PUBLISHED, TTC_PORTFOLIO_PUBLISHED,
-                      counterexample_matrix, random_portfolio, random_system)
+                      bench_systems, counterexample_matrix, random_portfolio,
+                      random_system)
 
 
 class TestIsPrimitive:
@@ -308,6 +309,31 @@ class TestRoundedRates:
         assert vals[k].real != pytest.approx(1.0, abs=1e-5)
         assert np.abs(ttc8.w_ttc.weights[:-1] - v).max() <= 1e-10
 
+    @pytest.mark.parametrize("n, seed", [(50, 0), (50, 1), (200, 0),
+                                         (200, 1)])
+    def test_fixed_vector_at_master_scale(self, n, seed):
+        """A banded master-scale system with one row moved one tick: the
+        bordered solve at the computed root gives eig's Perron vector."""
+        systems = bench_systems()
+        rng = np.random.default_rng(1400 + seed)
+        probs, orig = systems.rating_system(rng, n)
+        i = int(rng.integers(n - 1))
+        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
+        assert systems.primitive(probs[:-1, :-1])
+        tm = ts.validate_transition_matrix(probs, tol=2e-4)
+        assert tm.published is not None
+        report = ts.verify_perron_structure(tm, ts.OriginationVector(orig))
+        m_p = systems.m_p(probs, orig)
+        vals, vecs = np.linalg.eig(m_p)
+        k = int(np.argmax(vals.real))
+        v = vecs[:, k].real / vecs[:, k].real.sum()
+        assert np.abs(report.fixed_vector - v).max() <= 1e-12
+        assert report.residual <= 1e-13
+        moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
+        assert abs(moduli[-1] - 1.0) > 1e-8
+        assert report.root == pytest.approx(moduli[-1], abs=1e-12)
+        assert report.lambda2 == pytest.approx(moduli[-2], abs=1e-12)
+
     def test_step_keeps_unit_balance(self, matrix8, origination8, portfolios):
         for book in portfolios.values():
             after, flow = ts.propagate_step(book, matrix8, origination8)
@@ -318,9 +344,9 @@ class TestRoundedRates:
 
 
 class TestOneSpectralComputation:
-    """Each solve factorises the M_p of the dynamics once: one ``eig`` of
-    the published-rate M_p when rows were rounded, else one ``eigvals`` and
-    one bordered ``solve`` of the exact M_p."""
+    """Each solve factorises the M_p of the dynamics once, with one
+    ``eigvals`` and one bordered ``solve``, whether its rows were rounded
+    (the published-rate M_p) or not."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -340,13 +366,10 @@ class TestOneSpectralComputation:
         tm, orig = {"bundled": lambda: (matrix8, origination8),
                     "exact": lambda: random_system(rng, 21),
                     "rounded": lambda: rounded_system(rng, 21)}[system]()
-        expected = ({"eig": 0, "eigvals": 1, "solve": 1}
-                    if tm.published is None
-                    else {"eig": 1, "eigvals": 0, "solve": 0})
         assert (tm.published is None) == (system == "exact")
         for run in (lambda: ts.solve_ttc(tm, orig),
                     lambda: ts.run_validation(ts.Portfolio(orig.weights),
                                               tm, orig)):
             counts.update(dict.fromkeys(counts, 0))
             run()
-            assert counts == expected
+            assert counts == {"eig": 0, "eigvals": 1, "solve": 1}
