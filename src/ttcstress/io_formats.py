@@ -112,12 +112,13 @@ def parse_vector_csv(text: str, kind: str) -> Portfolio | OriginationVector:
 
 def parse_scenario_csv(text: str) -> tuple[CreditIndexSeries | None,
                                            MacroScenario | None]:
-    """Parse a scenario file with a mandatory header.
+    """Parse a scenario file with a mandatory header of distinct names.
 
     The first column holds period labels.  A column named ``credit_index``
-    becomes the credit index series; all remaining numeric columns become
-    macro variables.  Returns (series, scenario); either may be None when the
-    file carries only the other kind of data.
+    becomes the credit index series; all remaining columns, in file order,
+    become macro variables.  Returns (series, scenario); either may be None
+    when the file carries only the other kind of data.  A repeated name is
+    rejected, so no column is silently dropped.
     """
     rows = _read_rows(text)
     header = rows[0]
@@ -126,26 +127,23 @@ def parse_scenario_csv(text: str) -> tuple[CreditIndexSeries | None,
                          "scenario file needs a header row with column names")
     if len(header) < 2:
         raise InputError("shape", "scenario file needs a period column plus data")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise InputError("duplicate-column",
+                         f"header repeats the column name {repeated[0]!r}")
     body = rows[1:]
     if not body:
         raise InputError("empty", "no data rows after the header")
     values = _float_rows(body, len(header), 2, skip=1)
     periods = tuple(row[0] for row in body)
     names = header[1:]
-    columns = dict(zip(names, values.T.copy()))
     series = None
-    if CREDIT_INDEX_COLUMN in columns:
-        series = CreditIndexSeries(columns.pop(CREDIT_INDEX_COLUMN), periods=periods)
-    scenario = None
-    if columns:
-        macro_names = tuple(n for n in names if n != CREDIT_INDEX_COLUMN)
-        scenario = MacroScenario(
-            values=np.column_stack([columns[n] for n in macro_names]),
-            names=macro_names,
-            periods=periods,
-        )
-    if series is None and scenario is None:
-        raise InputError("empty", "scenario file has no data columns")
+    if CREDIT_INDEX_COLUMN in names:
+        i = names.index(CREDIT_INDEX_COLUMN)
+        series = CreditIndexSeries(values[:, i], periods=periods)
+        values = np.delete(values, i, axis=1)
+        del names[i]
+    scenario = MacroScenario(values, tuple(names), periods) if names else None
     return series, scenario
 
 

@@ -90,11 +90,18 @@ class MacroModel:
         return self.betas.size - 1
 
     def linear_predictor(self, macro_row) -> float:
+        return float(self._predictors(self._checked_row(macro_row))[0])
+
+    def _checked_row(self, macro_row) -> np.ndarray:
+        """``macro_row`` as a (1, k) stack, checked for size and finiteness."""
         row = np.asarray(macro_row, dtype=float)
         if row.ndim != 1 or row.size != self.n_vars:
             raise InputError("dimension-mismatch",
                              f"expected {self.n_vars} macro values, got {row.size}")
-        return float(self._predictors(row[None])[0])
+        if not np.isfinite(row).all():
+            raise InputError("invalid-argument",
+                             "macro row contains non-finite values")
+        return row[None]
 
     def _predictors(self, rows: np.ndarray) -> np.ndarray:
         """Linear predictor of every row of a (count, k) stack.
@@ -141,9 +148,9 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
                     lag: int = 0) -> MacroModel:
     """OLS of probit(C_t) on an intercept and macro variables lagged by ``lag``.
 
-    Solves the normal equations with pivoted elimination; a rank-deficient
-    design (collinear regressors) is rejected.  The calibrated (p, rho) from
-    the full series is stored on the model.
+    One least-squares solve (SVD) of the design; a design of numerical rank
+    below its column count (collinear regressors) is rejected.  The
+    calibrated (p, rho) from the full series is stored on the model.
     """
     lag = int(lag)
     if lag < 0:
@@ -152,26 +159,19 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
         raise InputError("dimension-mismatch",
                          f"series has {len(series)} periods, scenario has "
                          f"{scenario.n_periods}")
-    y_full = _probits(series)
+    y = _probits(series)[lag:]
     k = scenario.n_vars
     n_obs = len(series) - lag
     if n_obs < k + 2:
         raise InputError("too-short",
                          f"need at least {k + 2} aligned observations for "
                          f"{k} regressors, got {n_obs}")
-    y = y_full[lag:]
-    x = scenario.values[:scenario.n_periods - lag]
-    design = np.column_stack([np.ones(n_obs), x])
-    if np.linalg.matrix_rank(design) < k + 1:
+    design = np.column_stack([np.ones(n_obs),
+                              scenario.values[:scenario.n_periods - lag]])
+    betas, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < k + 1:
         raise InputError("rank-deficient",
                          "rank-deficient design: regressors are collinear")
-    gram = design.T @ design
-    try:
-        betas = np.linalg.solve(gram, design.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("rank-deficient",
-                         "rank-deficient design: normal equations are "
-                         "singular") from exc
     resid = y - design @ betas
     ssr = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
@@ -190,14 +190,15 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
     )
 
 
-def _probit_inversion(model: MacroModel) -> tuple[float, float, float]:
-    """(probit(p), sqrt(1 - rho), sqrt(rho)) for mapping predictors to z."""
+def _z_of_rows(model: MacroModel, rows: np.ndarray) -> np.ndarray:
+    """z of each row of a (count, k) stack, as :func:`economy_state` has it."""
     if model.rho <= 0.0:
         raise InputError("zero-rho",
                          "economy state undefined without systematic risk "
                          "(rho = 0)")
-    return (std_normal_inv_cdf(model.p), np.sqrt(1.0 - model.rho),
-            np.sqrt(model.rho))
+    return ((std_normal_inv_cdf(model.p)
+             - np.sqrt(1.0 - model.rho) * model._predictors(rows))
+            / np.sqrt(model.rho))
 
 
 def economy_state(model: MacroModel, macro_row) -> float:
@@ -208,20 +209,18 @@ def economy_state(model: MacroModel, macro_row) -> float:
 
         z = (probit(p) - sqrt(1 - rho) * predictor) / sqrt(rho).
 
-    Requires rho > 0; without systematic risk the credit index carries no
-    information about z.
+    The row must hold ``model.n_vars`` finite values.  Requires rho > 0;
+    without systematic risk the credit index carries no information about z.
     """
-    probit_p, scale, sqrt_rho = _probit_inversion(model)
-    predictor = model.linear_predictor(macro_row)
-    return float((probit_p - scale * predictor) / sqrt_rho)
+    return float(_z_of_rows(model, model._checked_row(macro_row))[0])
 
 
 def economy_state_path(model: MacroModel, scenario: MacroScenario) -> np.ndarray:
     """z_t for every scenario period that has lagged regressors available.
 
     Returns a vector of length ``n_periods - lag``; entry t corresponds to
-    scenario period ``lag + t`` and is computed from macro row t, exactly as
-    :func:`economy_state` would.
+    scenario period ``lag + t`` and is computed from macro row t, bit for
+    bit as :func:`economy_state` computes it.
     """
     if scenario.n_vars != model.n_vars:
         raise InputError("dimension-mismatch",
@@ -230,6 +229,4 @@ def economy_state_path(model: MacroModel, scenario: MacroScenario) -> np.ndarray
     count = max(scenario.n_periods - model.lag, 0)
     if count == 0:
         return np.array([])
-    probit_p, scale, sqrt_rho = _probit_inversion(model)
-    predictors = model._predictors(scenario.values[:count])
-    return (probit_p - scale * predictors) / sqrt_rho
+    return _z_of_rows(model, scenario.values[:count])

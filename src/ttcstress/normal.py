@@ -32,10 +32,9 @@ def std_normal_inv_cdf(p):
     the exact quantile for p from 1e-300 to 1 - 1e-15.
     """
     from scipy.special import ndtri
-    scalar = np.ndim(p) == 0
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    arr = np.asarray(p, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise InputError("invalid-argument",
                          "std_normal_inv_cdf: p must lie in [0, 1]")
     x = ndtri(arr)
-    return float(x[0]) if scalar else x
+    return float(x) if arr.ndim == 0 else x

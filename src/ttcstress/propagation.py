@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .transition import _EPS, TransitionMatrix, _check_rho, _stressed_rows
+from .transition import (_EPS, _STRICT_ROW_TOL, TransitionMatrix, _check_rho,
+                         _stressed_rows)
 
-_SUM_TOL = 1e-12
 
-
-def _check_weights(values, what: str, tol: float = _SUM_TOL) -> np.ndarray:
+def _check_weights(values, what: str,
+                   tol: float = _STRICT_ROW_TOL) -> np.ndarray:
     """Reject a would-be grade vector at its first failed check: at least
     two grades, finite, nonnegative, summing to one within ``tol``.  A
     failed sum reads "``what`` sums to s, outside 1 +- tol", and the bound
@@ -177,11 +177,15 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
     Returns the post-period portfolio (default grade written off and
     re-originated, so its default weight is exactly zero) and the defaulted
     balance flow of the period.  A matrix with rounded rows moves the book
-    under its published rates and rescales the result to unit balance.
+    under its published rates and rescales the result to unit balance.  The
+    returned book skips the 1e-12 sum check: on rows at that bound its mass
+    drifts past it within a few steps, as in :func:`project_path`.
     """
     _check_sizes(portfolio=portfolio, matrix=tm, origination=origination)
     row = _step_once(portfolio.weights, tm, origination.weights)
-    return Portfolio(row[:tm.n]), float(row[tm.n])
+    book = object.__new__(Portfolio)  # not re-checked, see the docstring
+    object.__setattr__(book, "weights", row[:tm.n])
+    return book, float(row[tm.n])
 
 
 def average_pd(portfolio: Portfolio, tm: TransitionMatrix) -> float:

@@ -284,6 +284,14 @@ class TestUsageErrors:
         assert code == 3
         assert "input error" in err
 
+    def test_out_dir_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run("ttc", "--matrix", MATRIX, "--origination",
+                           ORIGINATION, "--out-dir", str(taken), capsys=capsys)
+        assert code == 3
+        assert err.startswith("ttcstress: i/o error: ")
+
     def test_bad_vector_data_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.5,0.4\n")

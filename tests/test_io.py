@@ -179,6 +179,36 @@ class TestParseScenarioCsv:
             ts.parse_scenario_csv("period,credit_index\n2020,low\n")
         assert err.value.code == "non-numeric"
 
+    @pytest.mark.parametrize("header", [
+        "period,credit_index,gdp,credit_index",
+        "period,gdp,gdp",
+        "period,credit_index,gdp,unemp,gdp",
+    ])
+    def test_repeated_column_name_rejected(self, header):
+        cells = header.count(",")
+        text = header + "\n" + "2020" + ",0.02" * cells + "\n"
+        with pytest.raises(InputError) as err:
+            ts.parse_scenario_csv(text)
+        assert err.value.code == "duplicate-column"
+
+    def test_single_column_rejected(self):
+        with pytest.raises(InputError) as err:
+            ts.parse_scenario_csv("period\n2020\n")
+        assert err.value.code == "shape"
+
+
+class TestHeaderOnlyFiles:
+    @pytest.mark.parametrize("parse, text", [
+        (ts.parse_matrix_csv, "a,b,c\n"),
+        (ts.parse_scenario_csv, "period,credit_index,gdp\n"),
+        (ts.parse_path_csv, "period,z,avg_pd,default_flow,w_1,w_2\n"),
+    ])
+    def test_header_without_data_rows_rejected(self, parse, text):
+        with pytest.raises(InputError) as err:
+            parse(text)
+        assert err.value.code == "empty"
+        assert str(err.value) == "no data rows after the header"
+
 
 class TestPathCsv:
     def test_fifty_period_run_has_fifty_one_lines(self, barbell_path):
@@ -211,6 +241,12 @@ class TestPathCsv:
         with pytest.raises(InputError) as err:
             ts.parse_path_csv("a,b,c\n1,2,3\n")
         assert err.value.code == "missing-header"
+
+    def test_one_weight_column_rejected(self):
+        with pytest.raises(InputError) as err:
+            ts.parse_path_csv("period,z,avg_pd,default_flow,w_1\n"
+                              "1,0.0,0.01,0.01,1.0\n")
+        assert err.value.code == "shape"
 
     def test_shortest_round_trip_formatting(self):
         assert fmt(0.1) == "0.1"

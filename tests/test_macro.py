@@ -105,6 +105,23 @@ class TestFitMacroModel:
         assert model.betas[0] == pytest.approx(float(beta0), abs=1e-10)
         assert model.betas[1] == pytest.approx(float(beta1), abs=1e-10)
 
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_bundled_betas_match_extended_precision_least_squares(
+            self, lag, data_dir):
+        """The solve alone: the oracle takes the fit's own double probits
+        and solves the normal equations at 50 digits."""
+        import mpmath as mp
+        series, scenario = ts.parse_scenario_csv(
+            (data_dir / "scenario.csv").read_text())
+        model = ts.fit_macro_model(series, scenario, lag=lag)
+        mp.mp.dps = 50
+        y = mp.matrix(ts.std_normal_inv_cdf(series.values[lag:]).tolist())
+        x = mp.matrix([[1.0, *row] for row in
+                       scenario.values[:scenario.n_periods - lag].tolist()])
+        exact = mp.lu_solve(x.T * x, x.T * y)
+        for beta, b in zip(model.betas.tolist(), exact):
+            assert abs((beta - b) / b) <= 1e-14
+
     def test_duplicated_regressor_rejected(self):
         series, scenario = _exact_linear_inputs(lag=0)
         doubled = ts.MacroScenario(
@@ -162,6 +179,23 @@ class TestEconomyState:
         with pytest.raises(InputError) as err:
             ts.economy_state(model, [0.5])
         assert err.value.code == "zero-rho"
+
+    @pytest.mark.parametrize("row", [[float("nan"), 1.0],
+                                     [float("inf"), 1.0],
+                                     [1.0, float("-inf")]])
+    def test_non_finite_row_rejected(self, row):
+        model = ts.MacroModel(betas=np.array([0.0, 1.0, 0.5]), lag=0, p=0.02,
+                              rho=0.12, r_squared=1.0, residual_variance=0.0)
+        with pytest.raises(InputError) as err:
+            ts.economy_state(model, row)
+        assert err.value.code == "invalid-argument"
+
+    def test_path_variable_count_checked(self):
+        model = self._identity_model(p=0.02, rho=0.12)
+        scenario = ts.MacroScenario(np.ones((3, 2)), names=("x", "y"))
+        with pytest.raises(InputError) as err:
+            ts.economy_state_path(model, scenario)
+        assert err.value.code == "dimension-mismatch"
 
     def test_row_length_checked(self):
         model = self._identity_model(p=0.02, rho=0.12)
@@ -233,6 +267,24 @@ class TestEconomyState:
 
 
 class TestSeriesValidation:
+    @pytest.mark.parametrize("make, code", [
+        (lambda: ts.CreditIndexSeries(np.full((2, 2), 0.1)), "shape"),
+        (lambda: ts.CreditIndexSeries([]), "shape"),
+        (lambda: ts.CreditIndexSeries([0.1, float("nan")]), "invalid-argument"),
+        (lambda: ts.CreditIndexSeries([0.1, 0.2], periods=("2020",)), "shape"),
+        (lambda: ts.MacroScenario(np.ones(3), names=("x",)), "shape"),
+        (lambda: ts.MacroScenario(np.ones((2, 0)), names=()), "shape"),
+        (lambda: ts.MacroScenario([[1.0, float("inf")]], names=("x", "y")),
+         "invalid-argument"),
+        (lambda: ts.MacroScenario(np.ones((2, 2)), names=("x",)), "shape"),
+        (lambda: ts.MacroScenario(np.ones((2, 1)), names=("x",),
+                                  periods=("2020",)), "shape"),
+    ])
+    def test_constructor_checks(self, make, code):
+        with pytest.raises(InputError) as err:
+            make()
+        assert err.value.code == code
+
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(InputError):
             ts.CreditIndexSeries([0.5, 1.5])

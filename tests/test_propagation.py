@@ -63,6 +63,22 @@ class TestPropagateStep:
         assert abs(after.weights.sum() - 1.0) > 1e-12
         assert 0.0 < flow < 1.0
 
+    def test_fifty_steps_from_ttc_with_rows_at_the_sum_bound(self):
+        # the book's mass drifts past the 1e-12 sum bound after two steps;
+        # each step is project_path's zero-stress period, bit for bit
+        tm = ts.validate_transition_matrix(
+            [[0.491900000001, 0.1858, 0.3223],
+             [0.5329000000009999, 0.0303, 0.4368], [0.0, 0.0, 1.0]])
+        orig = ts.OriginationVector([0.48, 0.52, 0.0])
+        start = ts.solve_ttc(tm, orig).w_ttc
+        path = ts.project_path(start, tm, orig, rho=0.0, z_path=np.zeros(50))
+        book = start
+        for t in range(50):
+            book, flow = ts.propagate_step(book, tm, orig)
+            assert np.array_equal(book.weights, path.portfolios[t])
+            assert flow == path.default_flows[t]
+        assert abs(book.weights.sum() - 1.0) > 1e-11
+
     def test_identity_matrix_keeps_performing_book(self):
         tm = ts.validate_transition_matrix(np.eye(4))
         orig = ts.OriginationVector([0.4, 0.3, 0.3, 0.0])

@@ -33,6 +33,13 @@ class TestIsPrimitive:
             ts.is_primitive([[0.5, -0.1], [0.2, 0.3]])
         assert err.value.code == "negative-entry"
 
+    @pytest.mark.parametrize("block", [[[0.5, 0.5]], [0.5, 0.5],
+                                       np.zeros((0, 0))])
+    def test_non_square_input_rejected(self, block):
+        with pytest.raises(InputError) as err:
+            ts.is_primitive(block)
+        assert err.value.code == "shape"
+
     def test_sparse_cycle_with_one_selfloop(self):
         # 1->2->3->1 plus a self-loop makes every pair reachable eventually
         block = np.array([[0.1, 0.9, 0.0],
@@ -94,6 +101,13 @@ class TestIterativeSolver:
         tm = counterexample_matrix()
         with pytest.raises(PrimitivityError):
             ts.solve_ttc_iterative(tm, ts.OriginationVector([0.5, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, matrix8, origination8,
+                                         max_iter):
+        with pytest.raises(InputError) as err:
+            ts.solve_ttc_iterative(matrix8, origination8, max_iter=max_iter)
+        assert err.value.code == "invalid-argument"
 
     def test_forced_counterexample_reports_period_two_cycle(self):
         tm = counterexample_matrix()
