@@ -12,11 +12,13 @@ lagged macro variables then turns any macro scenario into a z path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
 from .normal import std_normal_cdf, std_normal_inv_cdf
+from .transition import _check_rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +78,13 @@ class MacroScenario:
 
 @dataclass(frozen=True, eq=False)
 class MacroModel:
-    """Fitted probit-link regression with the calibrated (p, rho) pair."""
+    """Fitted probit-link regression with the calibrated (p, rho) pair.
+
+    ``betas`` (intercept first) must be a finite vector of length two or
+    more, and 0 < p < 1 and 0 <= rho < 1; anything else is an
+    ``invalid-argument`` error, so a model built by hand cannot turn a
+    macro row into a NaN economy state.
+    """
 
     betas: np.ndarray
     lag: int
@@ -85,9 +93,28 @@ class MacroModel:
     r_squared: float
     residual_variance: float
 
+    def __post_init__(self):
+        betas = np.array(self.betas, dtype=float)
+        if betas.ndim != 1 or betas.size < 2 or not np.isfinite(betas).all():
+            raise InputError("invalid-argument",
+                             "betas must be a finite vector of length >= 2 "
+                             "(intercept first)")
+        p = float(self.p)
+        if not 0.0 < p < 1.0:
+            raise InputError("invalid-argument",
+                             f"p must lie in (0, 1), got {p!r}")
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rho", _check_rho(self.rho))
+
     @property
     def n_vars(self) -> int:
         return self.betas.size - 1
+
+    @cached_property
+    def _probit_p(self) -> float:
+        """probit(p), taken on the first economy state and kept."""
+        return std_normal_inv_cdf(self.p)
 
     def linear_predictor(self, macro_row) -> float:
         return float(self._predictors(self._checked_row(macro_row))[0])
@@ -196,7 +223,7 @@ def _z_of_rows(model: MacroModel, rows: np.ndarray) -> np.ndarray:
         raise InputError("zero-rho",
                          "economy state undefined without systematic risk "
                          "(rho = 0)")
-    return ((std_normal_inv_cdf(model.p)
+    return ((model._probit_p
              - np.sqrt(1.0 - model.rho) * model._predictors(rows))
             / np.sqrt(model.rho))
 

@@ -8,14 +8,18 @@ the one-factor quantile shift
 
 so that negative economy states z push probability mass toward worse grades.
 ``z == 0`` (or ``rho == 0``) is treated as "no stress" and returns the input
-matrix unchanged.  Phi^-1 of the tails is taken once per matrix, and all the
-stressed states of a path share one Phi call.  Both run once per distinct
-tail: a tail equal to its left neighbour (a zero entry of the row) has the
-same stressed value, so it is copied rather than evaluated again.
+matrix unchanged.  A :class:`TransitionMatrix` holds a read-only copy of its
+rates, so the z-independent part of the transform, Phi^-1 of the tails and
+where each tail's stressed value goes, is built once per matrix, on its
+first stress, and reused by every later one.  All the stressed states of a
+path share one Phi call.  Both run once per distinct tail: a tail equal to
+its left neighbour (a zero entry of the row) has the same stressed value, so
+it is gathered rather than evaluated again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,28 +36,30 @@ _EPS = float(np.finfo(float).eps)
 class TransitionMatrix:
     """Validated n x n one-period rating transition matrix.
 
-    Grade n (last row/column) is the absorbing default state.  ``probs``
-    passes :func:`_check_rates` at 1e-12; use
+    Grade n (last row/column) is the absorbing default state.  ``probs`` is
+    a read-only copy of the rates given, so the stress layout cached from it
+    stays valid, and passes :func:`_check_rates` at 1e-12; use
     :func:`validate_transition_matrix` to repair raw data that is only
     approximately stochastic.
 
     ``published`` records how a table was parsed, and only
     :func:`validate_transition_matrix` sets it.  It is None for a matrix
     whose rows were already stochastic.  When validation rescaled rows
-    (published tables are rounded), it keeps the rates as given, and only
-    the rescaled rows differ from ``probs``.  The TTC portfolio and the
-    zero-stress propagation step run on these published rates, with the
-    book rescaled to unit balance after each period; the default column,
-    the propagation matrix M_p, the stress transform and every emitted
-    matrix use the row-stochastic ``probs``.
+    (published tables are rounded), it keeps the rates as given, read-only,
+    and only the rescaled rows differ from ``probs``.  The TTC portfolio
+    and the zero-stress propagation step run on these published rates, with
+    the book rescaled to unit balance after each period; the default
+    column, the propagation matrix M_p, the stress transform and every
+    emitted matrix use the row-stochastic ``probs``.
     """
 
     probs: np.ndarray
     published: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        arr = np.array(self.probs, dtype=float)
         _check_rates(arr, _STRICT_ROW_TOL)
+        arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -69,6 +75,26 @@ class TransitionMatrix:
     def default_column(self) -> np.ndarray:
         """One-period default probability per grade (grade n maps to 1)."""
         return self.probs[:, -1]
+
+    @cached_property
+    def _tail_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, index): q = Phi^-1 of the distinct cumulative tails, and the
+        flat index into ``[1, 0, Phi-values of q...]`` that gathers the
+        (n-1, n+1) table of every performing row's tails, from the whole row
+        (1) down to the empty tail (0).  A tail equal to its left neighbour
+        is not distinct and points at that neighbour's value."""
+        n = self.n
+        # tails[:, k] = sum of row entries from column k + 1 to the end
+        tails = np.clip(np.cumsum(self.probs[:-1, ::-1], axis=1)[:, -2::-1],
+                        0.0, 1.0)
+        new = np.empty(tails.shape, dtype=bool)
+        new[:, 0] = True
+        np.not_equal(tails[:, 1:], tails[:, :-1], out=new[:, 1:])
+        index = np.empty((n - 1, n + 1), dtype=np.intp)
+        index[:, 0] = 0
+        index[:, n] = 1
+        index[:, 1:n] = np.cumsum(new).reshape(tails.shape) + 1
+        return std_normal_inv_cdf(tails[new]), index.ravel()
 
 
 def _check_rates(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -126,6 +152,7 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     probs = arr.copy()
     probs[needs] = arr[needs] / sums[needs, None]
     tm = TransitionMatrix(probs)
+    arr.flags.writeable = False
     object.__setattr__(tm, "published", arr)
     return tm
 
@@ -176,34 +203,32 @@ def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
     """Write the stressed performing rows at each state z_k of ``z`` into
     ``out``, of shape (m, n-1, n).
 
-    The quantiles Phi^-1 of the cumulative tails do not depend on z, so they
-    are taken once; every state then shares one Phi call.  Within a row, a
-    tail equal to its left neighbour (a zero entry, or one lost to
-    rounding) gets the same Phi value bit for bit, so both calls see only
-    the distinct tails, and each repeat is gathered back from the last
-    distinct tail to its left.
+    The quantiles Phi^-1 of the cumulative tails do not depend on z, so
+    ``tm._tail_layout`` takes them once per matrix, on its first stress.
+    Every state then shares one Phi call over the distinct tails; a tail
+    equal to its left neighbour (a zero entry, or one lost to rounding)
+    gets the same Phi value bit for bit, as one gather of the cumulative
+    tables places each value.  The rows are their differences, written
+    into ``out`` in one pass, clamped only where cancellation left them
+    below zero, and rescaled to sum one.
     ``rho`` must already be checked and nonzero, and every z_k finite and
     nonzero.
     """
-    p = tm.probs
+    q, index = tm._tail_layout
     n = tm.n
-    # tails[:, k] = sum of row entries from column k + 1 to the end
-    tails = np.clip(np.cumsum(p[:-1, ::-1], axis=1)[:, -2::-1], 0.0, 1.0)
-    new = np.empty(tails.shape, dtype=bool)
-    new[:, 0] = True
-    np.not_equal(tails[:, 1:], tails[:, :-1], out=new[:, 1:])
-    q = std_normal_inv_cdf(tails[new])
-    vals = std_normal_cdf(_shifted_quantile(q, rho, z[:, None]))
-    stressed = np.empty((z.size, n - 1, n + 1))
-    stressed[:, :, 0] = 1.0
-    stressed[:, :, n] = 0.0
-    stressed[:, :, 1:n] = vals[:, np.cumsum(new).reshape(tails.shape) - 1]
+    vals = np.empty((z.size, q.size + 2))
+    vals[:, 0] = 1.0
+    vals[:, 1] = 0.0
+    vals[:, 2:] = std_normal_cdf(_shifted_quantile(q, rho, z[:, None]))
+    stressed = np.take(vals, index, axis=1).reshape(z.size, n - 1, n + 1)
     rows = np.subtract(stressed[:, :, :-1], stressed[:, :, 1:], out=out)
     # cancellation can leave harmless negative dust; anything larger is a bug
-    if (rows < -_NEG_CLAMP).any():
+    low = rows.min()
+    if low < -_NEG_CLAMP:
         raise InputError("invalid-argument",
                          "stress transform produced a negative probability")
-    rows[rows < 0.0] = 0.0
+    if low < 0.0:
+        np.maximum(rows, 0.0, out=rows)
     rows /= rows.sum(axis=2, keepdims=True)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import ttcstress as ts
-from ttcstress import transition
+from ttcstress import propagation, transition
 from ttcstress.errors import InputError
 
 from conftest import bench_systems, random_portfolio, random_system
@@ -68,6 +68,68 @@ class TestStepKernel:
             for t in range(z.size):
                 pd = ts.average_pd(ts.Portfolio(path.portfolios[t]), tm)
                 assert abs(path.avg_pds[t] - pd) <= 1e-16
+
+
+class TestStepwiseBitIdentity:
+    def test_each_period_is_stress_then_propagate_step(self):
+        """project_path, period by period, equals stress_transition_matrix
+        followed by propagate_step bit for bit, on exact and rounded
+        systems, with origination vectors ending in +0.0 and -0.0; the
+        default column of every step matrix, and so the default grade of
+        every book, is +0.0."""
+        minus_zero = 0
+        for i, (tm, orig, book, rho, z) in enumerate(seeded_cases()):
+            if i % 4 < 2:
+                weights = orig.weights.copy()
+                weights[-1] = -0.0
+                orig = ts.OriginationVector(weights)
+                minus_zero += 1
+            path = ts.project_path(book, tm, orig, rho, z)
+            assert not np.signbit(path.portfolios[:, -1]).any()
+            w = book
+            for t, z_t in enumerate(z):
+                stressed = ts.stress_transition_matrix(tm, rho, z_t)
+                step = propagation._step_matrix(stressed, orig.weights)
+                assert not np.signbit(step[:, tm.n - 1]).any()
+                w, flow = ts.propagate_step(w, stressed, orig)
+                assert_same_bits(path.portfolios[t], w.weights)
+                assert_same_bits(path.default_flows[t], flow)
+        assert minus_zero == 30
+
+
+class TestTailLayoutOncePerMatrix:
+    def test_second_stress_takes_no_quantile(self, monkeypatch):
+        """The first stress of a matrix takes Phi^-1 of its distinct tails;
+        later stresses of the same matrix take none, and each still makes
+        one Phi call over its stressed states times the distinct tails."""
+        calls = {"cdf": [], "inv": []}
+
+        def counting(name, real):
+            def wrapped(x):
+                calls[name].append(np.size(x))
+                return real(x)
+            return wrapped
+
+        monkeypatch.setattr(transition, "std_normal_cdf",
+                            counting("cdf", transition.std_normal_cdf))
+        monkeypatch.setattr(transition, "std_normal_inv_cdf",
+                            counting("inv", transition.std_normal_inv_cdf))
+        rng = np.random.default_rng(1616)
+        tm, orig = rounded_system(rng, 21)
+        book = random_portfolio(rng, tm.n)
+        u = distinct_tails(tm.probs)
+        ts.run_validation(book, tm, orig, horizon=10)
+        assert calls == {"cdf": [], "inv": []}
+        first, second = rng.normal(0.0, 1.5, (2, 39))
+        second[::3] = 0.0
+        ts.project_path(book, tm, orig, 0.2, first)
+        assert calls == {"cdf": [first.size * u], "inv": [u]}
+        calls["cdf"].clear()
+        calls["inv"].clear()
+        ts.project_path(book, tm, orig, 0.2, second)
+        ts.stress_transition_matrix(tm, 0.2, -1.0)
+        assert calls == {"cdf": [int((second != 0.0).sum()) * u, u],
+                         "inv": []}
 
 
 class TestValidationReusesTheSolve:

@@ -305,3 +305,33 @@ class TestSeriesValidation:
                                     names=("x",))
         with pytest.raises(InputError):
             ts.fit_macro_model(series, scenario, lag=-1)
+
+
+class TestModelValidation:
+    """A hand-built MacroModel checks its parameters, so that no economy
+    state comes out NaN."""
+
+    @staticmethod
+    def _model(**changes):
+        fields = dict(betas=np.array([0.0, 1.0]), lag=0, p=0.02, rho=0.12,
+                      r_squared=1.0, residual_variance=0.0)
+        fields.update(changes)
+        return ts.MacroModel(**fields)
+
+    @pytest.mark.parametrize("changes", [
+        dict(rho=1.5), dict(rho=1.0), dict(rho=-0.1), dict(rho=float("nan")),
+        dict(p=0.0), dict(p=1.0), dict(p=1.5), dict(p=float("nan")),
+        dict(betas=np.array([float("nan"), 1.0])),
+        dict(betas=np.array([0.0, float("inf")])),
+        dict(betas=np.array([1.0])), dict(betas=np.ones((2, 2))),
+    ])
+    def test_invalid_parameters_rejected(self, changes):
+        with pytest.raises(InputError) as err:
+            self._model(**changes)
+        assert err.value.code == "invalid-argument"
+
+    def test_list_betas_become_a_float_array(self):
+        model = self._model(betas=[0, 1])
+        assert model.betas.dtype == float and model.n_vars == 1
+        assert ts.economy_state(model, [0.5]) == ts.economy_state(
+            self._model(), [0.5])

@@ -335,3 +335,32 @@ class TestNegativeDustClamp:
         with pytest.raises(InputError) as info:
             ts.stress_transition_matrix(matrix8, 0.2, -1.0)
         assert info.value.code == "invalid-argument"
+
+
+class TestOwnedRates:
+    """A TransitionMatrix holds a read-only copy of its rates, so nothing
+    the caller does to the source array reaches it, or the stress layout
+    cached from it."""
+
+    RATES = [[0.90, 0.08, 0.02], [0.10, 0.85, 0.05], [0.0, 0.0, 1.0]]
+
+    def test_mutating_the_source_leaves_the_rates_unchanged(self):
+        source = np.array(self.RATES)
+        tm = ts.TransitionMatrix(source)
+        stressed = ts.stress_transition_matrix(tm, 0.2, -1.0).probs.copy()
+        source[0, 0] = 5.0
+        assert np.array_equal(tm.probs, self.RATES)
+        assert np.array_equal(
+            ts.stress_transition_matrix(tm, 0.2, -1.0).probs, stressed)
+
+    def test_writing_to_the_rates_raises(self):
+        rounded = np.array(self.RATES)
+        rounded[0] = [0.9, 0.08, 0.0201]  # sums to 1.0001, rescaled
+        for tm in (ts.TransitionMatrix(self.RATES),
+                   ts.validate_transition_matrix(self.RATES),
+                   ts.validate_transition_matrix(rounded, tol=1e-3)):
+            with pytest.raises(ValueError):
+                tm.probs[0, 0] = 0.5
+        assert tm.published is not None
+        with pytest.raises(ValueError):
+            tm.published[0, 0] = 0.5
