@@ -117,36 +117,34 @@ class ProjectionPath:
         return np.concatenate(([self.initial_pd], self.avg_pds))
 
 
-def _step_stack(rows: np.ndarray, last: np.ndarray, orig: np.ndarray,
+def _step_stack(probs: np.ndarray, orig: np.ndarray,
                 balance: bool = False) -> np.ndarray:
-    """Step matrices of the rate matrices whose performing rows are the
-    (k, n-1, n) stack ``rows`` and whose default row is ``last``: ``w @ b``
-    holds the migrated, written-off and re-originated book in its first n
-    entries and the defaulted flow in entry n, and with ``balance`` that
-    book's total balance in entry n + 1, to rescale it to unit balance.
+    """Step matrices of the rate matrices ``probs``, one (n, n) matrix or a
+    (k, n, n) stack: ``w @ b`` holds the migrated, written-off and
+    re-originated book in its first n entries and the defaulted flow in
+    entry n, and with ``balance`` that book's total balance in entry n + 1,
+    to rescale it to unit balance.
 
     Built in whole-stack passes: the flow column, flow x orig, the added
     migration block, then the default column, written as 0.0, which
     0.0 + flow * orig[-1] always is (``orig[-1]`` is +-0.0)."""
-    k, n = rows.shape[0], rows.shape[2]
-    b = np.empty((k, n, n + 1 + balance))
-    b[:, :-1, n] = rows[:, :, n - 1]
-    b[:, -1, n] = last[n - 1]
-    np.multiply(b[:, :, n, None], orig, out=b[:, :, :n])
-    b[:, :-1, :n] += rows
-    b[:, -1, :n] += last
-    b[:, :, n - 1] = 0.0
+    n = probs.shape[-1]
+    b = np.empty(probs.shape[:-1] + (n + 1 + balance,))
+    b[..., n] = probs[..., n - 1]
+    np.multiply(b[..., n, None], orig, out=b[..., :n])
+    b[..., :n] += probs
+    b[..., n - 1] = 0.0
     if balance:
-        b[:, :, n + 1] = b[:, :, :n].sum(axis=-1)
+        b[..., n + 1] = b[..., :n].sum(axis=-1)
     return b
 
 
 def _step_matrix(tm: TransitionMatrix, orig: np.ndarray) -> np.ndarray:
     """Step matrix of an unstressed period: on the published rates with a
     balance column when ``tm`` was rounded, on ``tm.probs`` otherwise."""
-    rounded = tm.published is not None
-    probs = tm.published if rounded else tm.probs
-    return _step_stack(probs[None, :-1], probs[-1], orig, rounded)[0]
+    if tm.published is None:
+        return _step_stack(tm.probs, orig)
+    return _step_stack(tm.published, orig, balance=True)
 
 
 def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
@@ -230,12 +228,14 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     unstressed = _step_matrix(tm, orig)
     steps = [unstressed] * m
     if stressed_at.any():
-        # the stressed rows of all stressed periods, then their step
-        # matrices, each built in one stack; the default row is absorbing
+        # the stressed rows of all stressed periods, written contiguously,
+        # then their matrices (default row absorbing) and step matrices
         rows = np.empty((int(stressed_at.sum()), n - 1, n))
         _stressed_rows(tm, rho, z_arr[stressed_at], out=rows)
-        stack = _step_stack(rows, np.eye(1, n, n - 1)[0], orig)
-        for t, b in zip(np.flatnonzero(stressed_at), stack):
+        probs = np.zeros((rows.shape[0], n, n))
+        probs[:, :-1] = rows
+        probs[:, -1, -1] = 1.0
+        for t, b in zip(np.flatnonzero(stressed_at), _step_stack(probs, orig)):
             steps[t] = b
     buf = np.empty((m, unstressed.shape[1]))
     states = _propagate(initial.weights, steps, buf)
