@@ -7,7 +7,9 @@ scenario) on the four books, plus `ttc`, `stress-matrix`, `fit-macro` and
 `--format` (none, text, csv, json, svg) with `--out-dir`, so that the
 formats a command does not emit are recorded as the usage errors they are.
 `--help`, `propagate --help` and two more usage errors (`--tol` given to
-`validate` and to `ttc`) run too.  Every call gets a directory
+`validate` and to `ttc`) run too, and last a `diagnose` of the path that
+the scenario run of the seasoned book wrote, whose classification and
+extrema must read as that run's.  Every call gets a directory
 OUT_DIR/<case>/<variant>/ holding its stdout.txt, stderr.txt, exit_code.txt
 and, with `--out-dir`, the emitted files under out/.
 
@@ -73,7 +75,10 @@ def calls() -> list[tuple[str, list[str]]]:
         for fmt in FORMATS:
             extra = ["--out-dir", "out"] + (["--format", fmt] if fmt else [])
             out.append((f"{name}/{fmt or 'default'}", argv + extra))
-    return out
+    return out + [("diagnose-seasoned-scenario/default", [
+        "diagnose", "--path",
+        "../../propagate-seasoned-scenario/default/out/path.csv",
+        "--out-dir", "out"])]
 
 
 def run(out_dir: Path) -> None:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .charts import emit_svg_chart
 from .diagnostics import (DEFAULT_BAND, DEFAULT_HORIZON, ValidationReport,
-                          classify_pd_path, detect_spurious_dynamics,
-                          run_validation)
+                          detect_spurious_dynamics, run_validation)
 from .errors import InputError, PrimitivityError
 from .io_formats import (emit_matrix_csv, emit_path_csv, fmt, parse_matrix_csv,
                          parse_path_csv, parse_scenario_csv, parse_vector_csv)
@@ -68,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix(p)
     _add_portfolio(p)
     _add_origination(p)
-    _add_common(p, ("csv", "json", "svg"), horizon=True, band=True)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
+                   help=f"projection periods (default {DEFAULT_HORIZON})")
+    _add_common(p, ("csv", "json", "svg"), band=True)
 
     p = add("ttc", "solve for the TTC portfolio and its PD", _cmd_ttc)
     _add_matrix(p)
@@ -85,11 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=Path, default=None,
                    help="scenario CSV; the economy-state path is derived "
                         "from a macro model fitted on it")
-    p.add_argument("--rho", type=float, default=0.0,
-                   help="asset correlation used when stressing (default 0)")
+    p.add_argument("--rho", type=float, help="asset correlation used when "
+                   "stressing (default 0, or the fitted one with --scenario)")
     p.add_argument("--lag", type=int, default=0,
                    help="macro model lag when --scenario is used")
-    _add_common(p, ("csv", "json", "svg"), horizon=True, band=True)
+    p.add_argument("--horizon", type=int, help="projection periods (default "
+                   f"{DEFAULT_HORIZON}, or the whole scenario with --scenario)")
+    _add_common(p, ("csv", "json", "svg"), band=True)
 
     p = add("stress-matrix", "print the matrix conditional on z", _cmd_stress_matrix)
     _add_matrix(p)
@@ -127,12 +130,9 @@ def _add_origination(p):
                    help="origination vector CSV (last grade weight must be 0)")
 
 
-def _add_common(p, kinds, horizon=False, band=False):
+def _add_common(p, kinds, band=False):
     """The options every command shares; ``kinds`` are the file formats the
     command emits, in the order text, csv, json, svg of the help text."""
-    if horizon:
-        p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
-                       help=f"projection periods (default {DEFAULT_HORIZON})")
     if band:
         p.add_argument("--band", type=float, default=DEFAULT_BAND,
                        help="spurious-excursion band relative to the "
@@ -304,25 +304,36 @@ def _scenario_z_path(args):
 
 
 def _build_z_path(args) -> np.ndarray:
+    """The z path of ``--z`` or of ``--scenario``, whole or cut to a shorter
+    ``--horizon``.  A scenario run without ``--rho`` stresses at the rho
+    that defines its z, the fitted model's, set here as ``args.rho``."""
     if args.scenario is not None and args.z is not None:
         raise InputError("invalid-argument",
                          "--z and --scenario are mutually exclusive")
-    if args.scenario is not None:
-        return _scenario_z_path(args)[2][:args.horizon]
-    if args.z is not None:
-        return np.full(args.horizon, float(args.z))
-    return np.zeros(args.horizon)
+    if args.horizon is not None and args.horizon < 1:
+        raise InputError("invalid-argument", "horizon must be >= 1")
+    if args.scenario is None:
+        return np.full(args.horizon or DEFAULT_HORIZON,
+                       0.0 if args.z is None else float(args.z))
+    _, model, z = _scenario_z_path(args)
+    if args.horizon is not None and args.horizon > z.size:
+        raise InputError("invalid-argument",
+                         f"--horizon {args.horizon} is longer than the "
+                         f"scenario's z path of {z.size} periods")
+    if args.rho is None:
+        args.rho = model.rho
+    return z[:args.horizon]
 
 
 def _cmd_propagate(args) -> int:
     tm = parse_matrix_csv(_read(args.matrix))
     portfolio = parse_vector_csv(_read(args.portfolio), "portfolio")
     origination = parse_vector_csv(_read(args.origination), "origination")
-    if args.horizon < 1:
-        raise InputError("invalid-argument", "horizon must be >= 1")
+    rho_source = "--rho" if args.rho is not None else "fitted on the scenario"
     z_path = _build_z_path(args)
-    path = project_path(portfolio, tm, origination, rho=args.rho, z_path=z_path)
-    if args.rho > 0.0 and 0 < np.count_nonzero(z_path) < z_path.size:
+    rho = 0.0 if args.rho is None else args.rho
+    path = project_path(portfolio, tm, origination, rho=rho, z_path=z_path)
+    if rho > 0.0 and 0 < np.count_nonzero(z_path) < z_path.size:
         sys.stderr.write(f"{PROG}: warning: z = 0 means no stress, and the z "
                          "path mixes it with stressed periods; the stressed "
                          "matrix does not tend to the input one as z -> 0\n")
@@ -331,6 +342,8 @@ def _cmd_propagate(args) -> int:
     def show():
         print(f"projected {path.periods} periods, initial PD "
               f"{_pct(path.initial_pd)}, terminal PD {_pct(s.terminal_pd)}")
+        if args.scenario is not None:
+            print(f"stressed at rho = {fmt(rho)} ({rho_source})")
         print(f"min {_pct(s.min_pd)} at t={s.min_period}, "
               f"max {_pct(s.max_pd)} at t={s.max_period}")
         print(f"classification: {s.classification}")
@@ -369,9 +382,8 @@ def _cmd_fit_macro(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    table = parse_path_csv(_read(args.path))
-    report = classify_pd_path(table.avg_pds, band=args.band,
-                              period_labels=table.periods)
+    report = detect_spurious_dynamics(parse_path_csv(_read(args.path)),
+                                      band=args.band)
 
     def show():
         print(f"classification: {report.classification}")

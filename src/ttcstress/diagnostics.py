@@ -50,7 +50,6 @@ class SpuriousReport:
     """
 
     pd_path: np.ndarray
-    period_labels: np.ndarray
     min_pd: float
     min_period: int
     max_pd: float
@@ -108,9 +107,9 @@ def compare_portfolios(current: Portfolio, w_ttc: Portfolio,
     )
 
 
-def classify_pd_path(pds, band: float = DEFAULT_BAND,
-                     period_labels=None) -> SpuriousReport:
-    """Classify a PD sequence; the first entry is the path start.
+def classify_pd_path(pds, band: float = DEFAULT_BAND) -> SpuriousReport:
+    """Classify a PD sequence a_0..a_m; the first entry is the path start
+    and the periods reported are indices into the sequence.
 
     Recession: some PD exceeds both the start and the terminal value by more
     than band * terminal.  Boom: some PD undercuts the lower endpoint by the
@@ -123,14 +122,9 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND,
         raise InputError("too-short", "need at least two PD observations")
     if not np.isfinite(arr).all():
         raise InputError("invalid-argument", "PD path contains non-finite values")
-    if band <= 0.0:
-        raise InputError("invalid-argument", "band must be positive")
-    if period_labels is None:
-        labels = np.arange(arr.size)
-    else:
-        labels = np.asarray(period_labels, dtype=int)
-        if labels.shape != arr.shape:
-            raise InputError("shape", "period labels do not match path length")
+    if not 0.0 < band < np.inf:
+        raise InputError("invalid-argument",
+                         "band must be a finite positive number")
     start = arr[0]
     terminal = arr[-1]
     threshold = band * terminal
@@ -153,14 +147,13 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND,
     deviations = np.abs(arr - terminal)
     non_increasing = bool((np.diff(deviations) <= 1e-12).all())
     inside = deviations <= threshold
-    first_crossing = int(labels[np.argmax(inside)]) if inside.any() else int(labels[-1])
+    first_crossing = int(np.argmax(inside)) if inside.any() else arr.size - 1
     return SpuriousReport(
         pd_path=arr,
-        period_labels=labels,
         min_pd=min_pd,
-        min_period=int(labels[i_min]),
+        min_period=i_min,
         max_pd=max_pd,
-        max_period=int(labels[i_max]),
+        max_period=i_max,
         terminal_pd=float(terminal),
         classification=classification,
         first_crossing=first_crossing,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,32 +147,25 @@ def parse_scenario_csv(text: str) -> tuple[CreditIndexSeries | None,
 
 
 def emit_path_csv(path: ProjectionPath) -> str:
-    """Serialize a projection path, one row per propagated period."""
+    """Serialize a projection path whole: row 0 holds the initial book and
+    ``initial_pd`` (z and default_flow 0.0), rows 1..m the periods."""
     n = path.initial.n
     header = ",".join(PATH_HEADER_FIXED + tuple(f"w_{i + 1}" for i in range(n)))
     # repr of a tolist() float is fmt of the float64 it came from
-    rows = zip(path.z.tolist(), path.avg_pds.tolist(),
-               path.default_flows.tolist(), path.portfolios.tolist())
+    rows = zip([0.0, *path.z.tolist()], path.pd_series().tolist(),
+               [0.0, *path.default_flows.tolist()],
+               [path.initial.weights.tolist(), *path.portfolios.tolist()])
     lines = [header]
-    for t, (z, pd, flow, weights) in enumerate(rows, start=1):
+    for t, (z, pd, flow, weights) in enumerate(rows):
         lines.append(",".join([str(t), repr(z), repr(pd), repr(flow),
                                *map(repr, weights)]))
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PathTable:
-    """Projection path re-read from CSV (initial period not included)."""
-
-    periods: np.ndarray
-    z: np.ndarray
-    avg_pds: np.ndarray
-    default_flows: np.ndarray
-    weights: np.ndarray
-
-
-def parse_path_csv(text: str) -> PathTable:
-    """Parse a file produced by :func:`emit_path_csv`."""
+def parse_path_csv(text: str) -> ProjectionPath:
+    """Parse a file produced by :func:`emit_path_csv` back into its path.
+    The periods must read exactly 0, 1, ..., m, so an older file, which
+    has no period-0 row, is rejected."""
     rows = _read_rows(text)
     header = rows[0]
     if tuple(header[:4]) != PATH_HEADER_FIXED:
@@ -186,14 +178,15 @@ def parse_path_csv(text: str) -> PathTable:
     body = rows[1:]
     if not body:
         raise InputError("empty", "no data rows after the header")
+    if [row[0] for row in body] != [str(t) for t in range(len(body))]:
+        raise InputError("periods",
+                         "path file periods must read 0, 1, ..., m from the "
+                         "initial book on; re-run propagate to write it")
     arr = _float_rows(body, len(header), 2)
-    return PathTable(
-        periods=arr[:, 0].astype(int),
-        z=arr[:, 1],
-        avg_pds=arr[:, 2],
-        default_flows=arr[:, 3],
-        weights=arr[:, 4:],
-    )
+    return ProjectionPath(
+        initial=Portfolio(arr[0, 4:]), initial_pd=float(arr[0, 2]),
+        z=arr[1:, 1], portfolios=arr[1:, 4:], default_flows=arr[1:, 3],
+        avg_pds=arr[1:, 2])
 
 
 def emit_matrix_csv(tm: TransitionMatrix) -> str:

@@ -59,7 +59,9 @@ def path_csv_per_element(path) -> str:
     """``emit_path_csv`` formatting one numpy scalar at a time."""
     n = path.initial.n
     lines = [",".join(("period", "z", "avg_pd", "default_flow")
-                      + tuple(f"w_{i + 1}" for i in range(n)))]
+                      + tuple(f"w_{i + 1}" for i in range(n))),
+             ",".join(["0", "0.0", repr(float(path.initial_pd)), "0.0",
+                       *(repr(float(w)) for w in path.initial.weights)])]
     for t in range(path.periods):
         cells = [str(t + 1), repr(float(path.z[t])),
                  repr(float(path.avg_pds[t])),

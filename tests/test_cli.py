@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ ORIGINATION = str(DATA / "origination.csv")
 MIDGRADE = str(DATA / "portfolio_midgrade.csv")
 BARBELL = str(DATA / "portfolio_barbell.csv")
 SEASONED = str(DATA / "portfolio_seasoned.csv")
+TILT = str(DATA / "portfolio_speculative_tilt.csv")
 SCENARIO = str(DATA / "scenario.csv")
 
 
@@ -136,7 +138,7 @@ class TestPropagateCommand:
         assert code == 1
         assert "spurious-boom" in out
         csv_text = (out_dir / "path.csv").read_text()
-        assert len(csv_text.strip().split("\n")) == 51
+        assert len(csv_text.strip().split("\n")) == 52
         assert (out_dir / "chart.svg").exists()
 
     def test_seasoned_book_exits_clean(self, tmp_path, capsys):
@@ -155,8 +157,37 @@ class TestPropagateCommand:
                            capsys=capsys)
         assert code in (0, 1)
         table = ts.parse_path_csv((out_dir / "path.csv").read_text())
-        assert table.periods.size == 23  # 24 periods, lag 1
+        assert table.periods == 23  # 24 periods, lag 1
         assert np.abs(table.z).max() > 0.0
+
+    def test_scenario_stresses_at_the_fitted_rho_without_rho(self, capsys):
+        scenario = ("propagate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
+                    "--origination", ORIGINATION, "--scenario", SCENARIO,
+                    "--lag", "1")
+        model = ts.fit_macro_model(
+            *ts.parse_scenario_csv(Path(SCENARIO).read_text()), lag=1)
+        paths = [run(*scenario, *rho, "--format", "csv", capsys=capsys)[1]
+                 for rho in ((), ("--rho", repr(model.rho)), ("--rho", "0"))]
+        assert paths[0] == paths[1] != paths[2]
+        _, out, _ = run(*scenario, capsys=capsys)
+        assert (f"stressed at rho = {model.rho!r} (fitted on the scenario)"
+                in out.splitlines())
+
+    @pytest.mark.parametrize("horizon, periods", [("10", 10), ("23", 23),
+                                                  ("24", None), ("50", None)])
+    def test_horizon_longer_than_scenario_is_input_error(self, horizon,
+                                                         periods, capsys):
+        code, out, err = run("propagate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION,
+                             "--scenario", SCENARIO, "--lag", "1",
+                             "--horizon", horizon, "--format", "csv",
+                             capsys=capsys)
+        if periods is None:
+            assert (code, out) == (3, "")
+            assert (f"--horizon {horizon} is longer than the scenario's z "
+                    "path of 23 periods") in err
+        else:
+            assert ts.parse_path_csv(out).periods == periods
 
     def test_z_and_scenario_conflict(self, capsys):
         code, _, err = run("propagate", "--matrix", MATRIX, "--portfolio",
@@ -262,6 +293,32 @@ class TestDiagnoseCommand:
         assert "monotone-convergent" in out
 
 
+class TestDiagnoseAgreesWithPropagate:
+    """``diagnose`` on a ``path.csv`` says what the ``propagate`` run that
+    wrote it said, on every bundled propagate case."""
+
+    @pytest.mark.parametrize("book", [MIDGRADE, BARBELL, TILT, SEASONED],
+                             ids=["midgrade", "barbell", "speculative_tilt",
+                                  "seasoned"])
+    @pytest.mark.parametrize("stress", [
+        (), ("--z", "-1", "--rho", "0.2"),
+        ("--scenario", SCENARIO, "--lag", "1", "--rho", "0.05")],
+        ids=["z0", "z-1", "scenario"])
+    def test_same_classification_and_extrema(self, book, stress, tmp_path,
+                                             capsys):
+        said = []
+        for argv in (("propagate", "--matrix", MATRIX, "--portfolio", book,
+                      "--origination", ORIGINATION, *stress,
+                      "--out-dir", str(tmp_path)),
+                     ("diagnose", "--path", str(tmp_path / "path.csv"))):
+            code, out, _ = run(*argv, capsys=capsys)
+            said.append((code, re.search(r"^classification: (\S+)$", out,
+                                         re.M).group(1),
+                         re.search(r"^min \S+ at t=\d+, max \S+ at t=\d+",
+                                   out, re.M).group(0)))
+        assert said[0] == said[1]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run("frobnicate", capsys=capsys)
@@ -358,7 +415,7 @@ class TestStdoutFormats:
                            capsys=capsys)
         assert code == 1
         table = ts.parse_path_csv(out)
-        assert table.periods.size == 50
+        assert table.periods == 50
 
     def test_propagate_svg_to_stdout(self, capsys):
         code, out, _ = run("propagate", "--matrix", MATRIX, "--portfolio",
@@ -452,10 +509,11 @@ class TestNumericFlagValidation:
                            "--horizon", "0", capsys=capsys)
         assert code == 3
 
-    def test_negative_band_is_input_error(self, capsys):
+    @pytest.mark.parametrize("band", ["-0.1", "nan", "inf"])
+    def test_negative_band_is_input_error(self, capsys, band):
         code, _, err = run("propagate", "--matrix", MATRIX, "--portfolio",
                            MIDGRADE, "--origination", ORIGINATION,
-                           "--band", "-0.1", capsys=capsys)
+                           "--band", band, capsys=capsys)
         assert code == 3
 
 

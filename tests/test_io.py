@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ttcstress as ts
 from ttcstress.errors import InputError
-from ttcstress.io_formats import PathTable, fmt
+from ttcstress.io_formats import fmt
 from ttcstress.propagation import ProjectionPath
 
 import oracles
 from conftest import bench_systems, random_portfolio, random_system
+from test_kernel import seeded_cases
 
 
 @pytest.fixture(scope="module")
@@ -214,18 +217,21 @@ class TestPathCsv:
     def test_fifty_period_run_has_fifty_one_lines(self, barbell_path):
         text = ts.emit_path_csv(barbell_path)
         lines = text.strip().split("\n")
-        assert len(lines) == 51
+        assert len(lines) == 52
         assert lines[0].startswith("period,z,avg_pd,default_flow,w_1")
         assert lines[0].endswith("w_8")
 
     def test_round_trip_recovers_identical_values(self, barbell_path):
         table = ts.parse_path_csv(ts.emit_path_csv(barbell_path))
-        assert isinstance(table, PathTable)
-        assert np.array_equal(table.periods, np.arange(1, 51))
+        assert isinstance(table, ProjectionPath)
+        assert table.periods == 50
+        assert np.array_equal(table.initial.weights,
+                              barbell_path.initial.weights)
+        assert table.initial_pd == barbell_path.initial_pd
         assert np.array_equal(table.z, barbell_path.z)
         assert np.array_equal(table.avg_pds, barbell_path.avg_pds)
         assert np.array_equal(table.default_flows, barbell_path.default_flows)
-        assert np.array_equal(table.weights, barbell_path.portfolios)
+        assert np.array_equal(table.portfolios, barbell_path.portfolios)
 
     def test_emission_is_deterministic(self, barbell_path):
         assert ts.emit_path_csv(barbell_path) == ts.emit_path_csv(barbell_path)
@@ -247,6 +253,14 @@ class TestPathCsv:
             ts.parse_path_csv("period,z,avg_pd,default_flow,w_1\n"
                               "1,0.0,0.01,0.01,1.0\n")
         assert err.value.code == "shape"
+
+    @pytest.mark.parametrize("periods", [(1, 2), (0, 2), (1, 0), ("0.0", 1)])
+    def test_periods_other_than_zero_to_m_rejected(self, periods):
+        rows = "".join(f"{t},0.0,0.01,0.0,0.5,0.5\n" for t in periods)
+        with pytest.raises(InputError) as err:
+            ts.parse_path_csv("period,z,avg_pd,default_flow,w_1,w_2\n" + rows)
+        assert err.value.code == "periods"
+        assert "re-run propagate" in str(err.value)
 
     def test_shortest_round_trip_formatting(self):
         assert fmt(0.1) == "0.1"
@@ -352,3 +366,34 @@ class TestFormattingMatchesPerElementOracle:
         text = ts.emit_matrix_csv(tm)
         assert text == oracles.matrix_csv_per_element(tm.probs)
         assert text.startswith("-0.0,5e-324,1e-300,1.0\n")
+
+
+class TestPathRoundTrip:
+    """``parse_path_csv`` reads back the whole path: written out again it
+    gives the same bytes, and it classifies as the path it came from."""
+
+    @staticmethod
+    def check(path):
+        text = ts.emit_path_csv(path)
+        again = ts.parse_path_csv(text)
+        assert ts.emit_path_csv(again) == text
+        want = ts.detect_spurious_dynamics(path)
+        got = ts.detect_spurious_dynamics(again)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+
+    def test_seeded_paths(self):
+        # exact and rounded rows; rho 0 on a third of them, stressed on the rest
+        for tm, orig, book, rho, z in seeded_cases():
+            self.check(ts.project_path(book, tm, orig, rho, z))
+            self.check(ts.project_path(book, tm, orig, 0.0, np.zeros(z.size)))
+
+    def test_hand_made_values(self):
+        values = np.array(TestFormattingMatchesPerElementOracle.SPECIAL)
+        m = values.size
+        self.check(ProjectionPath(
+            initial=ts.Portfolio(np.eye(m)[0]), initial_pd=0.5,
+            z=values[::-1].copy(), avg_pds=values,
+            default_flows=np.roll(values, 2),
+            portfolios=np.array([np.roll(values, k) for k in range(m)])))
