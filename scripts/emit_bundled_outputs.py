@@ -8,8 +8,8 @@ scenario) on the four books, plus `ttc`, `stress-matrix`, `fit-macro` and
 formats a command does not emit are recorded as the usage errors they are.
 `--help`, `propagate --help` and two more usage errors (`--tol` given to
 `validate` and to `ttc`) run too, and last a `diagnose` of the path that
-the scenario run of the seasoned book wrote, whose classification and
-extrema must read as that run's.  Every call gets a directory
+the scenario run of the seasoned book wrote, to compare its classification
+and extrema with that run's.  Every call gets a directory
 OUT_DIR/<case>/<variant>/ holding its stdout.txt, stderr.txt, exit_code.txt
 and, with `--out-dir`, the emitted files under out/.
 
