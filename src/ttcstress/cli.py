@@ -82,12 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_origination(p)
     p.add_argument("--z", type=float, default=None,
                    help="constant economy state applied every period "
-                        "(default 0: no stress)")
+                        "(default 0: no stress); a nonzero z needs --rho")
     p.add_argument("--scenario", type=Path, default=None,
                    help="scenario CSV; the economy-state path is derived "
                         "from a macro model fitted on it")
     p.add_argument("--rho", type=float, help="asset correlation used when "
-                   "stressing (default 0, or the fitted one with --scenario)")
+                   "stressing: needed with a nonzero --z; with --scenario it "
+                   "overrides the fitted one")
     p.add_argument("--lag", type=int, default=0,
                    help="macro model lag when --scenario is used")
     p.add_argument("--horizon", type=int, help="projection periods (default "
@@ -260,7 +261,7 @@ def _print_validation(report: ValidationReport) -> None:
               f"terminal {_pct(s.terminal_pd)}")
         print(f"classification: {s.classification} "
               f"(band {s.band:.2f} of terminal PD, "
-              f"settles within band at t={s.first_crossing})")
+              f"first within band at t={s.first_crossing})")
     if report.perron is not None:
         p = report.perron
         print(f"spectral check: fixed-point residual {p.residual:.2e} "
@@ -303,37 +304,43 @@ def _scenario_z_path(args):
     return scenario, model, economy_state_path(model, scenario)
 
 
-def _build_z_path(args) -> np.ndarray:
-    """The z path of ``--z`` or of ``--scenario``, whole or cut to a shorter
-    ``--horizon``.  A scenario run without ``--rho`` stresses at the rho
-    that defines its z, the fitted model's, set here as ``args.rho``."""
+def _stress(args) -> tuple[np.ndarray, float, str]:
+    """What a propagate run stresses: the z path of ``--z`` or ``--scenario``
+    (cut to a shorter ``--horizon``), the rho that stresses it and its source:
+    ``--rho``, else the scenario's fitted rho that defines its z, else 0."""
     if args.scenario is not None and args.z is not None:
         raise InputError("invalid-argument",
                          "--z and --scenario are mutually exclusive")
     if args.horizon is not None and args.horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
     if args.scenario is None:
-        return np.full(args.horizon or DEFAULT_HORIZON,
-                       0.0 if args.z is None else float(args.z))
-    _, model, z = _scenario_z_path(args)
-    if args.horizon is not None and args.horizon > z.size:
-        raise InputError("invalid-argument",
-                         f"--horizon {args.horizon} is longer than the "
-                         f"scenario's z path of {z.size} periods")
-    if args.rho is None:
-        args.rho = model.rho
-    return z[:args.horizon]
+        if args.z and args.rho is None:
+            raise InputError("invalid-argument",
+                             f"--z {fmt(args.z)} needs --rho: without it "
+                             "no period is stressed")
+        z = np.full(args.horizon or DEFAULT_HORIZON,
+                    0.0 if args.z is None else args.z)
+        rho, source = 0.0, "default"
+    else:
+        _, model, z = _scenario_z_path(args)
+        if args.horizon is not None and args.horizon > z.size:
+            raise InputError("invalid-argument",
+                             f"--horizon {args.horizon} is longer than the "
+                             f"scenario's z path of {z.size} periods")
+        z, rho, source = z[:args.horizon], model.rho, "fitted on the scenario"
+    if args.rho is not None:
+        return z, args.rho, "--rho"
+    return z, rho, source
 
 
 def _cmd_propagate(args) -> int:
     tm = parse_matrix_csv(_read(args.matrix))
     portfolio = parse_vector_csv(_read(args.portfolio), "portfolio")
     origination = parse_vector_csv(_read(args.origination), "origination")
-    rho_source = "--rho" if args.rho is not None else "fitted on the scenario"
-    z_path = _build_z_path(args)
-    rho = 0.0 if args.rho is None else args.rho
+    z_path, rho, rho_source = _stress(args)
     path = project_path(portfolio, tm, origination, rho=rho, z_path=z_path)
-    if rho > 0.0 and 0 < np.count_nonzero(z_path) < z_path.size:
+    stressed = np.count_nonzero(z_path) if rho > 0.0 else 0
+    if 0 < stressed < z_path.size:
         sys.stderr.write(f"{PROG}: warning: z = 0 means no stress, and the z "
                          "path mixes it with stressed periods; the stressed "
                          "matrix does not tend to the input one as z -> 0\n")
@@ -342,7 +349,7 @@ def _cmd_propagate(args) -> int:
     def show():
         print(f"projected {path.periods} periods, initial PD "
               f"{_pct(path.initial_pd)}, terminal PD {_pct(s.terminal_pd)}")
-        if args.scenario is not None:
+        if stressed:
             print(f"stressed at rho = {fmt(rho)} ({rho_source})")
         print(f"min {_pct(s.min_pd)} at t={s.min_period}, "
               f"max {_pct(s.max_pd)} at t={s.max_period}")
@@ -351,7 +358,8 @@ def _cmd_propagate(args) -> int:
             print(f"wrote path.csv, chart.svg, path.json to {args.out_dir}")
 
     _emit(args, _path_files(path, "Average PD projection")
-          + [("json", "path.json", lambda: _json_text(_spurious_dict(s)))],
+          + [("json", "path.json", lambda: _json_text(
+              {**_spurious_dict(s), "rho": rho, "rho_source": rho_source}))],
           show)
     return 1 if s.spurious else 0
 

@@ -166,16 +166,6 @@ def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
     return books
 
 
-def _step_once(w: np.ndarray, tm: TransitionMatrix,
-               orig: np.ndarray) -> np.ndarray:
-    """One unstressed period of the book ``w``, as :func:`_propagate`'s row:
-    the book in the first n entries and the defaulted flow in entry n."""
-    b = _step_matrix(tm, orig)
-    out = np.empty((1, b.shape[1]))
-    _propagate(w, (b,), out)
-    return out[0]
-
-
 def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
                    origination: OriginationVector) -> tuple[Portfolio, float]:
     """One propagation period under ``tm``.
@@ -188,10 +178,12 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
     drifts past it within a few steps, as in :func:`project_path`.
     """
     _check_sizes(portfolio=portfolio, matrix=tm, origination=origination)
-    row = _step_once(portfolio.weights, tm, origination.weights)
+    b = _step_matrix(tm, origination.weights)
+    row = np.empty((1, b.shape[1]))
+    _propagate(portfolio.weights, (b,), row)
     book = object.__new__(Portfolio)  # not re-checked, see the docstring
-    object.__setattr__(book, "weights", row[:tm.n])
-    return book, float(row[tm.n])
+    object.__setattr__(book, "weights", row[0, :tm.n])
+    return book, float(row[0, tm.n])
 
 
 def average_pd(portfolio: Portfolio, tm: TransitionMatrix) -> float:

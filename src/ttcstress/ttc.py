@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes,
-                          _propagate, _step_matrix, _step_once, average_pd)
+                          _propagate, _step_matrix, average_pd, propagate_step)
 from .transition import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -148,11 +148,11 @@ def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
     full = np.zeros(tm.n)
     full[:-1] = w / w.sum()
     w_ttc = Portfolio(full)
-    stepped = _step_once(full, tm, origination.weights)[:tm.n]
+    stepped, _ = propagate_step(w_ttc, tm, origination)
     return TTCResult(
         w_ttc=w_ttc,
         iterations=0,
-        final_step_delta=float(np.abs(stepped - full).sum()),
+        final_step_delta=float(np.abs(stepped.weights - full).sum()),
         ttc_pd=average_pd(w_ttc, tm),
         spectral_gap_estimate=perron.lambda2,
     )

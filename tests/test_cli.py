@@ -117,6 +117,18 @@ class TestValidateCommand:
                            capsys=capsys)
         assert (code, err) == (0, "")
 
+    def test_barbell_names_its_first_entry_into_the_band(self, capsys):
+        argv = ("validate", "--matrix", MATRIX, "--portfolio", BARBELL,
+                "--origination", ORIGINATION)
+        _, out, _ = run(*argv, capsys=capsys)
+        _, doc, _ = run(*argv, "--format", "json", capsys=capsys)
+        s = json.loads(doc)["spurious"]
+        t, pds = s["first_crossing"], np.array(s["pd_path"])
+        outside = np.abs(pds - s["terminal_pd"]) > s["band"] * s["terminal_pd"]
+        assert t == 8 and not outside[t] and outside[t:].any()
+        assert f"first within band at t={t})" in out
+        assert "settles" not in out
+
     def test_out_dir_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "report"
         code, _, _ = run("validate", "--matrix", MATRIX, "--portfolio",
@@ -172,6 +184,46 @@ class TestPropagateCommand:
         _, out, _ = run(*scenario, capsys=capsys)
         assert (f"stressed at rho = {model.rho!r} (fitted on the scenario)"
                 in out.splitlines())
+
+    def test_nonzero_z_without_rho_is_input_error(self, capsys):
+        book = ("propagate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
+                "--origination", ORIGINATION)
+        code, out, err = run(*book, "--z", "-1", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert "--z -1.0 needs --rho" in err
+        assert "no period is stressed" in err
+        paths = [run(*book, *extra, "--format", "csv", capsys=capsys)
+                 for extra in ((), ("--z", "0"), ("--z", "-1", "--rho", "0"))]
+        assert paths[0][0] != 3
+        assert paths[0][1:] == paths[1][1:]
+        assert paths[0][1] == paths[2][1].replace("-1.0,", "0.0,")
+
+    @pytest.mark.parametrize("extra, rho, source", [
+        ((), 0.0, "default"),
+        (("--z", "-1", "--rho", "0.2"), 0.2, "--rho"),
+        (("--scenario", SCENARIO, "--lag", "1"), None,
+         "fitted on the scenario"),
+        (("--scenario", SCENARIO, "--lag", "1", "--rho", "0.05"), 0.05,
+         "--rho"),
+        (("--scenario", SCENARIO, "--lag", "1", "--rho", "0"), 0.0, "--rho"),
+    ], ids=["no-flags", "z-1-rho", "scenario", "scenario-rho", "scenario-rho-0"])
+    def test_summary_and_path_json_name_the_rho(self, extra, rho, source,
+                                                capsys):
+        if rho is None:
+            rho = ts.fit_macro_model(
+                *ts.parse_scenario_csv(Path(SCENARIO).read_text()),
+                lag=1).rho
+        argv = ("propagate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
+                "--origination", ORIGINATION, *extra)
+        _, doc, _ = run(*argv, "--format", "json", capsys=capsys)
+        doc = json.loads(doc)
+        assert list(doc)[-2:] == ["rho", "rho_source"]
+        assert (doc["rho"], doc["rho_source"]) == (rho, source)
+        _, out, _ = run(*argv, capsys=capsys)
+        stressed = [line for line in out.splitlines()
+                    if line.startswith("stressed at")]
+        assert stressed == ([f"stressed at rho = {rho!r} ({source})"]
+                            if rho > 0.0 else [])
 
     @pytest.mark.parametrize("horizon, periods", [("10", 10), ("23", 23),
                                                   ("24", None), ("50", None)])

@@ -300,8 +300,8 @@ MIXED_WARNING = ("ttcstress: warning: z = 0 means no stress, and the z path "
 
 class TestMixedZPathWarning:
     def propagate(self, monkeypatch, capsys, tmp_path, z, rho="0.2"):
-        monkeypatch.setattr(ts.cli, "_build_z_path",
-                            lambda args: np.array(z, dtype=float))
+        monkeypatch.setattr(ts.cli, "_stress", lambda args: (
+            np.array(z, dtype=float), args.rho, "--rho"))
         return run("propagate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
                    "--origination", ORIGINATION, "--rho", rho,
                    "--out-dir", str(tmp_path), capsys=capsys)
