@@ -6,11 +6,11 @@ scenario) on the four books, plus `ttc`, `stress-matrix`, `fit-macro` and
 `diagnose`.  Each of these runs once without options and once per
 `--format` (none, text, csv, json, svg) with `--out-dir`, so that the
 formats a command does not emit are recorded as the usage errors they are.
-`--help`, `propagate --help` and three more usage errors (`--tol` given
-to `validate` and to `ttc`, and `propagate --z -1` without `--rho`) run
-too, and last a `diagnose` of the path that the scenario run of the
-seasoned book wrote, to compare its classification and extrema with that
-run's.  Every call gets a directory
+`--help`, `propagate --help` and four more usage errors (`--tol` given
+to `validate` and to `ttc`, `propagate --z -1` without `--rho`, and
+`propagate --rho nan`) run too, and last a `diagnose` of the path that the
+scenario run of the seasoned book wrote, to compare its classification and
+extrema with that run's.  Every call gets a directory
 OUT_DIR/<case>/<variant>/ holding its stdout.txt, stderr.txt, exit_code.txt
 and, with `--out-dir`, the emitted files under out/.
 
@@ -72,7 +72,9 @@ def calls() -> list[tuple[str, list[str]]]:
            ("usage-error/validate-tol", cases()[0][1] + ["--tol", "1"]),
            ("usage-error/ttc-tol", dict(cases())["ttc"] + ["--tol", "1"]),
            ("usage-error/propagate-z-without-rho",
-            dict(cases())["propagate-midgrade-z0"] + ["--z", "-1"])]
+            dict(cases())["propagate-midgrade-z0"] + ["--z", "-1"]),
+           ("usage-error/propagate-rho-nan",
+            dict(cases())["propagate-midgrade-z0"] + ["--rho", "nan"])]
     for name, argv in cases():
         out.append((f"{name}/bare", argv))
         for fmt in FORMATS:

@@ -200,18 +200,13 @@ def _ttc_dict(result: TTCResult) -> dict:
 def _validation_dict(report: ValidationReport) -> dict:
     doc = _fields(report, "verdict", "primitive")
     if report.defect is not None:
-        doc["defect"] = report.defect
-    if report.ttc is not None:
-        doc["ttc"] = _ttc_dict(report.ttc)
-    if report.divergence is not None:
-        doc["divergence"] = _fields(report.divergence, "differences", "l1",
-                                    "linf", "current_pd", "ttc_pd")
-    if report.spurious is not None:
-        doc["spurious"] = _spurious_dict(report.spurious)
-    if report.perron is not None:
-        doc["perron"] = _fields(report.perron, "residual", "residual_ok",
-                                "lambda2", "lambda2_ok", "root", "passed")
-    return doc
+        return {**doc, "defect": report.defect}
+    return {**doc, "ttc": _ttc_dict(report.ttc),
+            "divergence": _fields(report.divergence, "differences", "l1",
+                                  "linf", "current_pd", "ttc_pd"),
+            "spurious": _spurious_dict(report.spurious),
+            "perron": _fields(report.perron, "residual", "residual_ok",
+                              "lambda2", "lambda2_ok", "root", "passed")}
 
 
 def _json_text(doc: dict) -> str:
@@ -235,7 +230,7 @@ def _cmd_validate(args) -> int:
                             horizon=args.horizon, band=args.band)
     files = [("json", "report.json",
               lambda: _json_text(_validation_dict(report)))]
-    if report.path is not None:
+    if report.defect is None:
         files += _path_files(report.path, "Zero-stress projection")
     _emit(args, files, lambda: _print_validation(report))
     if report.defect is not None and args.fmt not in (None, "text"):
@@ -246,27 +241,23 @@ def _cmd_validate(args) -> int:
 
 def _print_validation(report: ValidationReport) -> None:
     print(_verdict_line(report.verdict))
-    print(f"primitive performing block: {report.primitive}"
-          + (f" ({report.defect})" if report.defect else ""))
-    if report.ttc is not None:
-        _print_ttc(report.ttc)
-    if report.divergence is not None:
-        print(f"current PD {_pct(report.divergence.current_pd)}, "
-              f"gap to TTC portfolio: L1 {report.divergence.l1:.4f}, "
-              f"Linf {report.divergence.linf:.4f}")
-    if report.spurious is not None:
-        s = report.spurious
-        print(f"zero-stress path: min {_pct(s.min_pd)} at t={s.min_period}, "
-              f"max {_pct(s.max_pd)} at t={s.max_period}, "
-              f"terminal {_pct(s.terminal_pd)}")
-        print(f"classification: {s.classification} "
-              f"(band {s.band:.2f} of terminal PD, "
-              f"first within band at t={s.first_crossing})")
-    if report.perron is not None:
-        p = report.perron
-        print(f"spectral check: fixed-point residual {p.residual:.2e} "
-              f"(ok={p.residual_ok}), Perron root {p.root:.7f}, "
-              f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
+    if report.defect is not None:
+        print(f"primitive performing block: False ({report.defect})")
+        return
+    print("primitive performing block: True")
+    _print_ttc(report.ttc)
+    d, s, p = report.divergence, report.spurious, report.perron
+    print(f"current PD {_pct(d.current_pd)}, gap to TTC portfolio: "
+          f"L1 {d.l1:.4f}, Linf {d.linf:.4f}")
+    print(f"zero-stress path: min {_pct(s.min_pd)} at t={s.min_period}, "
+          f"max {_pct(s.max_pd)} at t={s.max_period}, "
+          f"terminal {_pct(s.terminal_pd)}")
+    print(f"classification: {s.classification} "
+          f"(band {s.band:.2f} of terminal PD, "
+          f"first within band at t={s.first_crossing})")
+    print(f"spectral check: fixed-point residual {p.residual:.2e} "
+          f"(ok={p.residual_ok}), Perron root {p.root:.7f}, "
+          f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
 
 
 def _print_ttc(result: TTCResult) -> None:

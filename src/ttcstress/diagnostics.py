@@ -70,19 +70,24 @@ class ValidationReport:
     """Bundle of all parameterization checks with an overall verdict.
 
     ``verdict`` is "pass", "warn: <classification>" when the zero-stress
-    projection shows spurious dynamics, or "fail: not primitive" when no
-    unique TTC portfolio exists, as ``defect`` explains.  Component reports
-    are None past the point where the pipeline stopped.
+    projection shows spurious dynamics, "fail: degenerate spectral
+    structure" when the Perron check fails, or "fail: not primitive" when
+    no unique TTC portfolio exists, as ``defect`` explains.  A report has
+    one of two shapes: ``defect`` set and every component None, or
+    ``defect`` None and every component present.
     """
 
-    primitive: bool
-    ttc: TTCResult | None
-    divergence: DivergenceReport | None
-    path: ProjectionPath | None
-    spurious: SpuriousReport | None
-    perron: PerronReport | None
     verdict: str
     defect: str | None = None
+    ttc: TTCResult | None = None
+    divergence: DivergenceReport | None = None
+    path: ProjectionPath | None = None
+    spurious: SpuriousReport | None = None
+    perron: PerronReport | None = None
+
+    @property
+    def primitive(self) -> bool:
+        return self.defect is None
 
     @property
     def exit_code(self) -> int:
@@ -181,16 +186,8 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
     if horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
     if not is_primitive(tm.performing_block):
-        return ValidationReport(
-            primitive=False,
-            ttc=None,
-            divergence=None,
-            path=None,
-            spurious=None,
-            perron=None,
-            verdict="fail: not primitive",
-            defect=_primitivity_defect(tm.performing_block > 0.0),
-        )
+        defect = _primitivity_defect(tm.performing_block > 0.0)
+        return ValidationReport("fail: not primitive", defect=defect)
     perron = verify_perron_structure(tm, origination)
     ttc = _ttc_result(tm, origination, perron)
     divergence = compare_portfolios(current, ttc.w_ttc, tm)
@@ -203,12 +200,5 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
         verdict = f"warn: {spurious.classification}"
     else:
         verdict = "pass"
-    return ValidationReport(
-        primitive=True,
-        ttc=ttc,
-        divergence=divergence,
-        path=path,
-        spurious=spurious,
-        perron=perron,
-        verdict=verdict,
-    )
+    return ValidationReport(verdict, ttc=ttc, divergence=divergence,
+                            path=path, spurious=spurious, perron=perron)

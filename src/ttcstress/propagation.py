@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .transition import (_EPS, _STRICT_ROW_TOL, TransitionMatrix, _check_rho,
-                         _stressed_rows)
+                         _stressed_probs)
 
 
 def _check_weights(values, what: str,
@@ -197,11 +197,13 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
                  z_path) -> ProjectionPath:
     """Propagate over a sequence of economy states.
 
-    Each period stresses the matrix at z_t (z == 0 uses ``tm`` unchanged,
-    bit for bit) and applies one propagation step, bit for bit the same as
-    :func:`stress_transition_matrix` followed by :func:`propagate_step`;
-    the step matrices of all stressed periods are built together, on raw
-    arrays.  The recorded average PD uses the unstressed matrix throughout.
+    ``rho`` is checked on every call, also when no period is stressed.
+    Each period stresses the matrix at z_t (z == 0 or rho == 0 uses ``tm``
+    unchanged, bit for bit) and applies one propagation step, bit for bit
+    the same as :func:`stress_transition_matrix` followed by
+    :func:`propagate_step`; the step matrices of all stressed periods are
+    built together, from one :func:`~ttcstress.transition._stressed_probs`
+    stack.  The recorded average PD uses the unstressed matrix throughout.
     """
     z_arr = np.asarray(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -209,24 +211,15 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     if not np.isfinite(z_arr).all():
         raise InputError("invalid-argument", "z path contains non-finite entries")
     _check_sizes(portfolio=initial, matrix=tm, origination=origination)
+    rho = _check_rho(rho)
     m = z_arr.size
     n = tm.n
     orig = origination.weights
-    # z == 0 or rho == 0 means no stress; rho is checked only if z asks for it
-    stressed_at = z_arr != 0.0
-    if stressed_at.any():
-        rho = _check_rho(rho)
-        stressed_at &= rho > 0.0
+    stressed_at = (z_arr != 0.0) & (rho > 0.0)
     unstressed = _step_matrix(tm, orig)
     steps = [unstressed] * m
     if stressed_at.any():
-        # the stressed rows of all stressed periods, written contiguously,
-        # then their matrices (default row absorbing) and step matrices
-        rows = np.empty((int(stressed_at.sum()), n - 1, n))
-        _stressed_rows(tm, rho, z_arr[stressed_at], out=rows)
-        probs = np.zeros((rows.shape[0], n, n))
-        probs[:, :-1] = rows
-        probs[:, -1, -1] = 1.0
+        probs = _stressed_probs(tm, rho, z_arr[stressed_at])
         for t, b in zip(np.flatnonzero(stressed_at), _step_stack(probs, orig)):
             steps[t] = b
     buf = np.empty((m, unstressed.shape[1]))

@@ -198,21 +198,21 @@ def _shifted_quantile(q, rho: float, z):
         return (q - np.sqrt(rho) * z) / np.sqrt(1.0 - rho)
 
 
-def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
-                   out: np.ndarray) -> None:
-    """Write the stressed performing rows at each state z_k of ``z`` into
-    ``out``, of shape (m, n-1, n).
+def _stressed_probs(tm: TransitionMatrix, rho: float,
+                    z: np.ndarray) -> np.ndarray:
+    """The stressed matrices at each state z_k of ``z``, of shape (m, n, n),
+    with the default row absorbing.
 
     The quantiles Phi^-1 of the cumulative tails do not depend on z, so
     ``tm._tail_layout`` takes them once per matrix, on its first stress.
     Every state then shares one Phi call over the distinct tails; a tail
     equal to its left neighbour (a zero entry, or one lost to rounding)
     gets the same Phi value bit for bit, as one gather of the cumulative
-    tables places each value.  The rows are their differences, written
-    into ``out`` in one pass, clamped only where cancellation left them
-    below zero, and rescaled to sum one.
-    ``rho`` must already be checked and nonzero, and every z_k finite and
-    nonzero.
+    tables places each value.  The performing rows are their differences,
+    written into one contiguous buffer, clamped only where cancellation
+    left them below zero, rescaled to sum one, and copied once into the
+    stack.  ``rho`` must already be checked and nonzero, and every z_k
+    finite and nonzero.
     """
     q, index = tm._tail_layout
     n = tm.n
@@ -221,7 +221,7 @@ def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
     vals[:, 1] = 0.0
     vals[:, 2:] = std_normal_cdf(_shifted_quantile(q, rho, z[:, None]))
     stressed = np.take(vals, index, axis=1).reshape(z.size, n - 1, n + 1)
-    rows = np.subtract(stressed[:, :, :-1], stressed[:, :, 1:], out=out)
+    rows = stressed[:, :, :-1] - stressed[:, :, 1:]
     # cancellation can leave harmless negative dust; anything larger is a bug
     low = rows.min()
     if low < -_NEG_CLAMP:
@@ -230,6 +230,10 @@ def _stressed_rows(tm: TransitionMatrix, rho: float, z: np.ndarray,
     if low < 0.0:
         np.maximum(rows, 0.0, out=rows)
     rows /= rows.sum(axis=2, keepdims=True)
+    probs = np.zeros((z.size, n, n))
+    probs[:, :-1] = rows
+    probs[:, -1, -1] = 1.0
+    return probs
 
 
 def stress_transition_matrix(tm: TransitionMatrix, rho: float,
@@ -241,13 +245,11 @@ def stress_transition_matrix(tm: TransitionMatrix, rho: float,
     one-factor transform and differenced back into probabilities, so the
     stressed row telescopes to sum one by construction.  Zero tails stay
     zero (the quantile convention maps 0 to -inf) and the default row stays
-    absorbing.  ``z == 0`` or ``rho == 0`` returns ``tm`` unchanged.
+    absorbing, as in every matrix of :func:`_stressed_probs`.  ``z == 0``
+    or ``rho == 0`` returns ``tm`` unchanged.
     """
     rho = _check_rho(rho)
     z = _check_z(z)
     if rho == 0.0 or z == 0.0:
         return tm
-    out = np.zeros((tm.n, tm.n))
-    _stressed_rows(tm, rho, np.array([z]), out=out[None, :-1])
-    out[-1, -1] = 1.0
-    return TransitionMatrix(out)
+    return TransitionMatrix(_stressed_probs(tm, rho, np.array([z]))[0])

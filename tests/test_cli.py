@@ -198,6 +198,38 @@ class TestPropagateCommand:
         assert paths[0][1:] == paths[1][1:]
         assert paths[0][1] == paths[2][1].replace("-1.0,", "0.0,")
 
+    @pytest.mark.parametrize("extra", [
+        ("--rho", "nan", "--format", "json"),
+        ("--rho", "1.5", "--z", "0"),
+        ("--rho", "-0.5"),
+    ], ids=["nan-json", "above-one-z-0", "negative"])
+    def test_out_of_range_rho_is_input_error_unstressed_too(self, extra,
+                                                            capsys):
+        code, out, err = run("propagate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION, *extra,
+                             capsys=capsys)
+        assert (code, out) == (3, "")
+        assert "input error [invalid-argument]" in err
+        assert "asset correlation must lie in [0, 1)" in err
+
+    def test_unstressed_runs_keep_their_path_json(self, tmp_path, capsys):
+        # --rho 0 and --z 0 stress nothing: the default run's path.json,
+        # but for the rho source --rho names
+        texts = {}
+        for name, extra in (("default", ()), ("z-0", ("--z", "0")),
+                            ("rho-0", ("--rho", "0"))):
+            out_dir = tmp_path / name
+            code, _, _ = run("propagate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION, *extra,
+                             "--out-dir", str(out_dir), capsys=capsys)
+            assert code == 1
+            texts[name] = (out_dir / "path.json").read_bytes()
+        assert texts["default"].endswith(
+            b'  "rho": 0.0,\n  "rho_source": "default"\n}\n')
+        assert texts["z-0"] == texts["default"]
+        assert texts["rho-0"] == texts["default"].replace(
+            b'"rho_source": "default"', b'"rho_source": "--rho"')
+
     @pytest.mark.parametrize("extra, rho, source", [
         ((), 0.0, "default"),
         (("--z", "-1", "--rho", "0.2"), 0.2, "--rho"),

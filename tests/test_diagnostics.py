@@ -1,11 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import ttcstress as ts
+from ttcstress.cli import cli_dispatch
 from ttcstress.errors import InputError
 
-from conftest import (bench_systems, counterexample_matrix, random_portfolio,
-                      random_system)
+from conftest import (DATA, bench_systems, counterexample_matrix,
+                      random_portfolio, random_system)
 from test_ttc import rounded_system
 
 
@@ -164,6 +168,39 @@ class TestRunValidation:
     def test_bad_horizon_rejected(self, matrix8, origination8, ttc8):
         with pytest.raises(InputError):
             ts.run_validation(ttc8.w_ttc, matrix8, origination8, horizon=0)
+
+    def test_degenerate_spectral_structure_keeps_every_component(
+            self, matrix8, origination8, portfolios, monkeypatch, capsys):
+        real = ts.diagnostics.verify_perron_structure
+
+        def degenerate(tm, origination):
+            return dataclasses.replace(real(tm, origination),
+                                       residual_ok=False)
+
+        monkeypatch.setattr(ts.diagnostics, "verify_perron_structure",
+                            degenerate)
+        report = ts.run_validation(portfolios["midgrade"], matrix8,
+                                   origination8)
+        assert report.verdict == "fail: degenerate spectral structure"
+        assert report.exit_code == 2
+        assert report.defect is None and report.primitive
+        assert None not in (report.ttc, report.divergence, report.path,
+                            report.spurious, report.perron)
+        assert not report.perron.passed
+        code = cli_dispatch(["validate", "--matrix",
+                             str(DATA / "transition_matrix.csv"),
+                             "--portfolio",
+                             str(DATA / "portfolio_midgrade.csv"),
+                             "--origination", str(DATA / "origination.csv"),
+                             "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert list(doc) == ["verdict", "primitive", "ttc", "divergence",
+                             "spurious", "perron"]
+        assert (doc["verdict"], doc["primitive"]) == (
+            "fail: degenerate spectral structure", True)
+        assert doc["perron"]["residual_ok"] is False
+        assert doc["perron"]["passed"] is False
 
 
 def edge_row_system(rng: np.random.Generator, n: int):

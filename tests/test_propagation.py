@@ -251,6 +251,15 @@ class TestProjectPath:
             ts.project_path(portfolios["midgrade"], matrix8, origination8,
                             0.0, [])
 
+    @pytest.mark.parametrize("rho", [float("nan"), 1.5, -0.5, 1.0])
+    def test_rho_is_checked_when_nothing_is_stressed(self, rho, matrix8,
+                                                     origination8, portfolios):
+        with pytest.raises(InputError) as err:
+            ts.project_path(portfolios["midgrade"], matrix8, origination8,
+                            rho=rho, z_path=np.zeros(5))
+        assert err.value.code == "invalid-argument"
+        assert "asset correlation must lie in [0, 1)" in str(err.value)
+
 
 class TestCatastrophicPath:
     def test_full_default_replaces_book_with_origination_mix(
