@@ -233,10 +233,17 @@ def _cmd_validate(args) -> int:
     if report.defect is None:
         files += _path_files(report.path, "Zero-stress projection")
     _emit(args, files, lambda: _print_validation(report))
-    if report.defect is not None and args.fmt not in (None, "text"):
+    if report.exit_code == 2 and args.fmt not in (None, "text"):
         # the summary that names the failure is hidden; exit 2 is not silent
-        sys.stderr.write(f"verdict: {report.verdict}\nreason: {report.defect}\n")
+        reason = report.defect or _spectral_check(report.perron)
+        sys.stderr.write(f"verdict: {report.verdict}\nreason: {reason}\n")
     return report.exit_code
+
+
+def _spectral_check(p) -> str:
+    return (f"spectral check: fixed-point residual {p.residual:.2e} "
+            f"(ok={p.residual_ok}), Perron root {p.root:.7f}, "
+            f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
 
 
 def _print_validation(report: ValidationReport) -> None:
@@ -255,9 +262,7 @@ def _print_validation(report: ValidationReport) -> None:
     print(f"classification: {s.classification} "
           f"(band {s.band:.2f} of terminal PD, "
           f"first within band at t={s.first_crossing})")
-    print(f"spectral check: fixed-point residual {p.residual:.2e} "
-          f"(ok={p.residual_ok}), Perron root {p.root:.7f}, "
-          f"|lambda_2| = {p.lambda2:.4f} (ok={p.lambda2_ok})")
+    print(_spectral_check(p))
 
 
 def _print_ttc(result: TTCResult) -> None:

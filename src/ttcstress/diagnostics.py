@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
-                          _check_sizes, average_pd, project_path)
+                          _check_sizes, _project, _step_matrix)
 from .transition import TransitionMatrix
 from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
                   is_primitive, verify_perron_structure)
@@ -26,6 +26,8 @@ CLASS_MONOTONE = "monotone-convergent"
 CLASS_RECESSION = "spurious-recession"
 CLASS_BOOM = "spurious-boom"
 CLASS_MIXED = "mixed"
+_CLASSES = {(False, False): CLASS_MONOTONE, (True, False): CLASS_RECESSION,
+            (False, True): CLASS_BOOM, (True, True): CLASS_MIXED}
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,13 @@ def compare_portfolios(current: Portfolio, w_ttc: Portfolio,
     """Componentwise differences and norms, with both average PDs."""
     _check_sizes(current=current, ttc=w_ttc, matrix=tm)
     diff = current.weights - w_ttc.weights
+    gaps = np.abs(diff)
     return DivergenceReport(
         differences=diff,
-        l1=float(np.abs(diff).sum()),
-        linf=float(np.abs(diff).max()),
-        current_pd=average_pd(current, tm),
-        ttc_pd=average_pd(w_ttc, tm),
+        l1=float(gaps.sum()),
+        linf=float(gaps.max()),
+        current_pd=float(current.weights @ tm.default_column),
+        ttc_pd=float(w_ttc.weights @ tm.default_column),
     )
 
 
@@ -130,36 +133,26 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND) -> SpuriousReport:
     if not 0.0 < band < np.inf:
         raise InputError("invalid-argument",
                          "band must be a finite positive number")
-    start = arr[0]
-    terminal = arr[-1]
+    start, terminal = float(arr[0]), float(arr[-1])
     threshold = band * terminal
-    i_min = int(np.argmin(arr))
-    i_max = int(np.argmax(arr))
-    max_pd = float(arr[i_max])
-    min_pd = float(arr[i_min])
+    i_min, i_max = int(arr.argmin()), int(arr.argmax())
+    min_pd, max_pd = float(arr[i_min]), float(arr[i_max])
     recession = (max_pd > start
                  and max_pd - start > threshold
                  and max_pd - terminal > threshold)
     boom = min(start, terminal) - min_pd > threshold
-    if recession and boom:
-        classification = CLASS_MIXED
-    elif recession:
-        classification = CLASS_RECESSION
-    elif boom:
-        classification = CLASS_BOOM
-    else:
-        classification = CLASS_MONOTONE
+    classification = _CLASSES[recession, boom]
     deviations = np.abs(arr - terminal)
-    non_increasing = bool((np.diff(deviations) <= 1e-12).all())
+    non_increasing = bool((deviations[1:] - deviations[:-1] <= 1e-12).all())
     inside = deviations <= threshold
-    first_crossing = int(np.argmax(inside)) if inside.any() else arr.size - 1
+    first_crossing = int(inside.argmax()) if inside.any() else arr.size - 1
     return SpuriousReport(
         pd_path=arr,
         min_pd=min_pd,
         min_period=i_min,
         max_pd=max_pd,
         max_period=i_max,
-        terminal_pd=float(terminal),
+        terminal_pd=terminal,
         classification=classification,
         first_crossing=first_crossing,
         band=float(band),
@@ -182,6 +175,8 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
     Checks primitivity, verifies the spectral structure, solves directly
     for the TTC portfolio, compares it with the current book, projects
     ``horizon`` periods with no stress and classifies the resulting PD path.
+    One step matrix serves the TTC residual and every projected period,
+    and each field is bit for bit what its stage's public function gives.
     """
     if horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
@@ -189,10 +184,10 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
         defect = _primitivity_defect(tm.performing_block > 0.0)
         return ValidationReport("fail: not primitive", defect=defect)
     perron = verify_perron_structure(tm, origination)
-    ttc = _ttc_result(tm, origination, perron)
+    step = _step_matrix(tm, origination.weights)
+    ttc = _ttc_result(tm, step, perron)
     divergence = compare_portfolios(current, ttc.w_ttc, tm)
-    path = project_path(current, tm, origination, rho=0.0,
-                        z_path=np.zeros(horizon))
+    path = _project(current, tm, np.zeros(horizon), [step] * horizon)
     spurious = detect_spurious_dynamics(path, band=band)
     if not perron.passed:
         verdict = "fail: degenerate spectral structure"

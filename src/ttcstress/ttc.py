@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import propagation
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes,
-                          _propagate, _step_matrix, average_pd, propagate_step)
+                          _propagate, _step_matrix, average_pd)
 from .transition import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -61,7 +62,8 @@ def _primitivity_defect(adj: np.ndarray) -> str | None:
     side, from grade 1 in each: every grade must be reached in both.  The
     period is then the gcd of level[i] + 1 - level[j] over all edges i -> j
     (Denardo 1977; Jarvis & Shier 1999), and the graph is primitive when
-    it is 1.
+    it is 1.  A grade that keeps mass is a cycle of length 1, so a positive
+    diagonal settles the period without the gcd.
     """
     m = adj.shape[0]
     both = np.zeros((2 * m, 2 * m))
@@ -80,6 +82,8 @@ def _primitivity_defect(adj: np.ndarray) -> str | None:
         k = int(missing[0])
         return (f"grade {k + 1} is unreachable from grade 1" if k < m
                 else f"grade 1 is unreachable from grade {k - m + 1}")
+    if adj.diagonal().any():
+        return None
     src, dst = np.nonzero(adj)
     period = int(np.gcd.reduce(level[src] + 1 - level[dst]))
     if period == 0:
@@ -127,13 +131,15 @@ def solve_ttc(tm: TransitionMatrix,
     :class:`PrimitivityError` as the oracle's), the Perron checks, then one
     direct solve and one propagation step for its residual."""
     _check_solver_inputs(tm, origination, require_primitive=True)
-    return _ttc_result(tm, origination,
-                       verify_perron_structure(tm, origination))
+    # propagation's own name: this module's _step_matrix is the oracle loop's
+    step = propagation._step_matrix(tm, origination.weights)
+    return _ttc_result(tm, step, verify_perron_structure(tm, origination))
 
 
-def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
+def _ttc_result(tm: TransitionMatrix, step: np.ndarray,
                 perron: PerronReport) -> TTCResult:
-    """TTC result of ``perron.fixed_vector``, past the primitivity gate."""
+    """TTC result of ``perron.fixed_vector``, past the primitivity gate;
+    the unstressed step matrix ``step`` gives its one-step residual."""
     w = perron.fixed_vector
     if w is None:
         raise PrimitivityError(
@@ -148,12 +154,12 @@ def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
     full = np.zeros(tm.n)
     full[:-1] = w / w.sum()
     w_ttc = Portfolio(full)
-    stepped, _ = propagate_step(w_ttc, tm, origination)
+    stepped = _propagate(full, (step,), np.empty((1, step.shape[1])))[0]
     return TTCResult(
         w_ttc=w_ttc,
         iterations=0,
-        final_step_delta=float(np.abs(stepped.weights - full).sum()),
-        ttc_pd=average_pd(w_ttc, tm),
+        final_step_delta=float(np.abs(stepped - full).sum()),
+        ttc_pd=float(full @ tm.default_column),
         spectral_gap_estimate=perron.lambda2,
     )
 
@@ -232,7 +238,8 @@ def _solve_unit_eigenvector(m_p: np.ndarray,
     constraint; None if that system is singular (the fixed vector is not
     unique)."""
     m = m_p.shape[0]
-    a = m_p - root * np.eye(m)
+    a = m_p.copy()
+    a.flat[::m + 1] -= root
     a[-1, :] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
