@@ -202,6 +202,33 @@ class TestRunValidation:
         assert doc["perron"]["residual_ok"] is False
         assert doc["perron"]["passed"] is False
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_degenerate_spectral_structure_is_not_silent(
+            self, fmt, matrix8, origination8, portfolios, monkeypatch,
+            capsys):
+        real = ts.diagnostics.verify_perron_structure
+
+        def degenerate(tm, origination):
+            return dataclasses.replace(real(tm, origination),
+                                       residual_ok=False)
+
+        monkeypatch.setattr(ts.diagnostics, "verify_perron_structure",
+                            degenerate)
+        residual = ts.run_validation(portfolios["midgrade"], matrix8,
+                                     origination8).perron.residual
+        code = cli_dispatch(["validate", "--matrix",
+                             str(DATA / "transition_matrix.csv"),
+                             "--portfolio",
+                             str(DATA / "portfolio_midgrade.csv"),
+                             "--origination", str(DATA / "origination.csv"),
+                             "--format", fmt])
+        verdict, reason = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert verdict == "verdict: fail: degenerate spectral structure"
+        assert reason.startswith(
+            f"reason: spectral check: fixed-point residual {residual:.2e} "
+            "(ok=False), ")
+
 
 def edge_row_system(rng: np.random.Generator, n: int):
     """A seeded n-grade system of four-decimal rows, each row's first entry
@@ -373,3 +400,76 @@ class TestDirectSolveInValidation:
             ts.run_validation(ts.Portfolio([0.5, 0.5, 0.0]), matrix8,
                               origination8)
         assert info.value.code == "dimension-mismatch"
+
+
+def count_step_stacks(monkeypatch) -> list:
+    """Patch ``propagation._step_stack`` to record each call."""
+    calls = []
+    real = ts.propagation._step_stack
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ts.propagation, "_step_stack", counted)
+    return calls
+
+
+class TestOneStepMatrix:
+    """A validation builds its unstressed step matrix once, for the TTC
+    residual and the zero-stress path alike, and a projection builds it
+    only for a period that uses it."""
+
+    @pytest.mark.parametrize("system", ["bundled", "exact", "rounded"])
+    def test_validation_builds_one_step_matrix(self, system, monkeypatch,
+                                               matrix8, origination8):
+        rng = np.random.default_rng(2020)
+        tm, orig = {"bundled": lambda: (matrix8, origination8),
+                    "exact": lambda: random_system(rng, 21),
+                    "rounded": lambda: rounded_system(rng, 21)}[system]()
+        calls = count_step_stacks(monkeypatch)
+        ts.run_validation(random_portfolio(rng, tm.n), tm, orig)
+        assert len(calls) == 1
+
+    def test_fully_stressed_path_skips_the_unstressed_step(
+            self, monkeypatch, matrix8, origination8, portfolios):
+        calls = count_step_stacks(monkeypatch)
+        z = np.linspace(-2.0, 1.5, 39)
+        assert (z != 0.0).all()
+        ts.project_path(portfolios["barbell"], matrix8, origination8, 0.2, z)
+        assert len(calls) == 1
+
+
+def assert_same_bits(x, y) -> None:
+    """``x`` and ``y`` hold the same values bit for bit, field by field."""
+    assert type(x) is type(y)
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            assert_same_bits(getattr(x, f.name), getattr(y, f.name))
+    elif isinstance(x, np.ndarray):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+    else:
+        assert repr(x) == repr(y)
+
+
+class TestValidationMatchesItsStages:
+    @pytest.mark.parametrize("k", range(40))
+    def test_every_field_is_its_public_stage_bit_for_bit(self, k):
+        rng = np.random.default_rng(20200 + k)
+        n = int(rng.integers(3, 22))
+        tm, orig = (random_system if k % 2 else rounded_system)(rng, n)
+        book = random_portfolio(rng, n, performing_only=bool(k % 3))
+        report = ts.run_validation(book, tm, orig)
+        ttc = ts.solve_ttc(tm, orig)
+        path = ts.project_path(book, tm, orig, 0.0, np.zeros(50))
+        spurious = ts.detect_spurious_dynamics(path)
+        assert report.defect is None
+        assert_same_bits(report.perron, ts.verify_perron_structure(tm, orig))
+        assert_same_bits(report.ttc, ttc)
+        assert_same_bits(report.divergence,
+                         ts.compare_portfolios(book, ttc.w_ttc, tm))
+        assert_same_bits(report.path, path)
+        assert_same_bits(report.spurious, spurious)
+        assert report.verdict == ("pass" if not spurious.spurious
+                                  else f"warn: {spurious.classification}")
