@@ -1,26 +1,26 @@
 """Time each stage of ``run_validation`` on its own, in microseconds.
 
-    python scripts/stage_times.py [--repeat N] [--seed S]
+    python scripts/stage_times.py [--repeat N]
 
 Runs ``run_validation(horizon=50)`` and, one at a time, the stages it is
-made of, on two sets of inputs: the 8 seeded 21-grade systems of the
-``validate-21`` workload (drawn with ``bench/systems.py`` as that workload
-draws them, each with its book shape) and the bundled 8-grade data with its
-four books.  Every round calls each stage once on each system, so the
+made of, on two sets of inputs: the 8 21-grade systems of the
+``validate-21`` workload at seed 1 (built by that workload's own
+``bench/inproc.py`` class, each with its book) and the bundled 8-grade data
+with its four books.  Every round calls each stage once on each system, so the
 stages interleave; a stage's figure is its fastest call on a system,
 averaged over the systems.  The last row is what ``run_validation`` spends
 outside the stages listed.  BLAS runs on one thread unless the environment
 says otherwise.
 
-The benchmark's tracer wraps public functions only, so the work that
-``run_validation`` shares between its stages shows there as its self time;
-this table shows which stage it lands in.
+The benchmark's tracer wraps public functions only, so the private
+``_ttc_result`` shows there as ``run_validation``'s self time; this table
+shows it, and every stage's own time, apart.
 """
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -31,37 +31,24 @@ import numpy as np  # noqa: E402
 
 import ttcstress as ts  # noqa: E402
 from ttcstress.io_formats import parse_matrix_csv, parse_vector_csv  # noqa: E402
-from ttcstress.propagation import _project, _step_matrix  # noqa: E402
 from ttcstress.ttc import _ttc_result  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 HORIZON = 50
-POOL, SYSTEMS = 64, 8  # as the validate-21 workload draws its systems
+SEED = 1
 
 
-def _bench_systems():
-    spec = importlib.util.spec_from_file_location(
-        "bench_systems", ROOT / "bench" / "systems.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def validate21_cases(seed: int) -> list[tuple]:
-    """(book, matrix, origination) of the workload's systems at ``seed``."""
-    systems = _bench_systems()
-    rng = np.random.default_rng(seed)
-    pool = [systems.rating_system(rng) for _ in range(POOL)]
-    pool.sort(key=lambda s: systems.lambda2(systems.m_p(*s)))
-    step = POOL // SYSTEMS
+def validate21_cases() -> list[tuple]:
+    """(book, matrix, origination) of each validate-21 system at SEED, as
+    the workload builds them before an op."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import inproc
+    workload = inproc.Validate21(ROOT, SEED)
     cases = []
-    for k, (probs, orig) in enumerate(pool[step // 2::step]):
-        tm, ov = ts.TransitionMatrix(probs), ts.OriginationVector(orig)
-        shape = systems.BOOK_SHAPES[k % len(systems.BOOK_SHAPES)]
-        ttc = (ts.solve_ttc(tm, ov).w_ttc.weights if shape == "seasoned"
-               else None)
-        book = systems.book(np.random.default_rng((seed, k)), shape, ttc=ttc)
-        cases.append((ts.Portfolio(book), tm, ov))
+    for k in range(inproc.SYSTEMS):
+        workload.before(k)
+        *_, tm, ov, book = workload.case
+        cases.append((book, tm, ov))
     return cases
 
 
@@ -79,8 +66,7 @@ def bundled_cases() -> list[tuple]:
 def stages(book, tm, ov) -> dict:
     """Each stage as a call with no arguments, on inputs built once."""
     perron = ts.verify_perron_structure(tm, ov)
-    step = _step_matrix(tm, ov.weights)
-    w_ttc = _ttc_result(tm, step, perron).w_ttc
+    w_ttc = _ttc_result(tm, ov, perron).w_ttc
     path = ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON))
     return {
         "run_validation(horizon=50)":
@@ -88,11 +74,10 @@ def stages(book, tm, ov) -> dict:
         "is_primitive": lambda: ts.is_primitive(tm.performing_block),
         "verify_perron_structure":
             lambda: ts.verify_perron_structure(tm, ov),
-        "_step_matrix": lambda: _step_matrix(tm, ov.weights),
-        "_ttc_result": lambda: _ttc_result(tm, step, perron),
+        "_ttc_result": lambda: _ttc_result(tm, ov, perron),
         "compare_portfolios": lambda: ts.compare_portfolios(book, w_ttc, tm),
-        "_project(z = 0)":
-            lambda: _project(book, tm, np.zeros(HORIZON), [step] * HORIZON),
+        "project_path(z = 0)":
+            lambda: ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON)),
         "detect_spurious_dynamics":
             lambda: ts.detect_spurious_dynamics(path),
     }
@@ -127,14 +112,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=400,
                         help="calls of each stage per system (default 400)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the validate-21 systems (default 1)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    print_table(f"validate-21 systems, seed {args.seed}, minimum of "
+    print_table(f"validate-21 systems, seed {SEED}, minimum of "
                 f"{args.repeat} interleaved calls",
-                stage_minima(validate21_cases(args.seed), args.repeat))
+                stage_minima(validate21_cases(), args.repeat))
     print_table(f"bundled 8-grade data, four books, minimum of "
                 f"{args.repeat} interleaved calls",
                 stage_minima(bundled_cases(), args.repeat))

@@ -30,9 +30,14 @@ def emit_svg_chart(path: ProjectionPath, title: str = "Average PD projection") -
 
     lo = float(pct.min())
     hi = float(pct.max())
-    pad = max(abs(hi) * 0.05, 1e-6) if hi - lo < 1e-12 else (hi - lo) * 0.08
-    lo -= pad
-    hi += pad
+    if hi - lo < 1e-12:
+        pad = max(abs(hi) * 0.05, 1e-6)
+        lo -= pad
+        hi += pad
+    else:
+        pad = (hi - lo) * 0.08
+        lo -= pad
+        hi += pad
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
-                          _check_sizes, _project, _step_matrix)
+                          _check_sizes, project_path)
 from .transition import TransitionMatrix
 from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
                   is_primitive, verify_perron_structure)
@@ -175,8 +175,7 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
     Checks primitivity, verifies the spectral structure, solves directly
     for the TTC portfolio, compares it with the current book, projects
     ``horizon`` periods with no stress and classifies the resulting PD path.
-    One step matrix serves the TTC residual and every projected period,
-    and each field is bit for bit what its stage's public function gives.
+    Each field is bit for bit what its stage's public function gives.
     """
     if horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
@@ -184,10 +183,10 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
         defect = _primitivity_defect(tm.performing_block > 0.0)
         return ValidationReport("fail: not primitive", defect=defect)
     perron = verify_perron_structure(tm, origination)
-    step = _step_matrix(tm, origination.weights)
-    ttc = _ttc_result(tm, step, perron)
+    ttc = _ttc_result(tm, origination, perron)
     divergence = compare_portfolios(current, ttc.w_ttc, tm)
-    path = _project(current, tm, np.zeros(horizon), [step] * horizon)
+    path = project_path(current, tm, origination, rho=0.0,
+                        z_path=np.zeros(horizon))
     spurious = detect_spurious_dynamics(path, band=band)
     if not perron.passed:
         verdict = "fail: degenerate spectral structure"

@@ -203,9 +203,8 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     the same as :func:`stress_transition_matrix` followed by
     :func:`propagate_step`; the step matrices of all stressed periods are
     built together, from one :func:`~ttcstress.transition._stressed_probs`
-    stack, and the unstressed one only if some period uses it; then
-    :func:`_project` moves the book.  The recorded average PD uses the
-    unstressed matrix throughout.
+    stack, and the unstressed one only if some period uses it.  The
+    recorded average PD uses the unstressed matrix throughout.
     """
     z_arr = np.array(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -214,29 +213,23 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
         raise InputError("invalid-argument", "z path contains non-finite entries")
     _check_sizes(portfolio=initial, matrix=tm, origination=origination)
     rho = _check_rho(rho)
+    m = z_arr.size
+    n = tm.n
     orig = origination.weights
     stressed_at = (z_arr != 0.0) & (rho > 0.0)
-    m = z_arr.size
-    steps = [None] * m if stressed_at.all() else [_step_matrix(tm, orig)] * m
+    unstressed = None if stressed_at.all() else _step_matrix(tm, orig)
+    steps = [unstressed] * m
     if stressed_at.any():
-        probs = _stressed_probs(tm, rho, z_arr[stressed_at])
-        for t, b in zip(np.flatnonzero(stressed_at), _step_stack(probs, orig)):
+        stack = _step_stack(_stressed_probs(tm, rho, z_arr[stressed_at]), orig)
+        for t, b in zip(np.flatnonzero(stressed_at), stack):
             steps[t] = b
-    return _project(initial, tm, z_arr, steps)
-
-
-def _project(initial: Portfolio, tm: TransitionMatrix, z: np.ndarray,
-             steps) -> ProjectionPath:
-    """The path of ``initial`` through one step matrix per period, with
-    sizes already checked; ``z`` is kept as the path's own."""
-    n = tm.n
-    # as wide as the unstressed step: the balance column of rounded rows
-    buf = np.empty((z.size, n + 1 + (tm.published is not None)))
+    # the unstressed step, when built, is the widest (a balance column)
+    buf = np.empty((m, (stack if unstressed is None else unstressed).shape[-1]))
     states = _propagate(initial.weights, steps, buf)
     return ProjectionPath(
         initial=initial,
         initial_pd=float(initial.weights @ tm.default_column),
-        z=z,
+        z=z_arr,
         portfolios=states,
         default_flows=buf[:, n],
         avg_pds=states @ tm.default_column,

@@ -131,15 +131,13 @@ def solve_ttc(tm: TransitionMatrix,
     :class:`PrimitivityError` as the oracle's), the Perron checks, then one
     direct solve and one propagation step for its residual."""
     _check_solver_inputs(tm, origination, require_primitive=True)
-    # propagation's own name: this module's _step_matrix is the oracle loop's
-    step = propagation._step_matrix(tm, origination.weights)
-    return _ttc_result(tm, step, verify_perron_structure(tm, origination))
+    return _ttc_result(tm, origination,
+                       verify_perron_structure(tm, origination))
 
 
-def _ttc_result(tm: TransitionMatrix, step: np.ndarray,
+def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
                 perron: PerronReport) -> TTCResult:
-    """TTC result of ``perron.fixed_vector``, past the primitivity gate;
-    the unstressed step matrix ``step`` gives its one-step residual."""
+    """TTC result of ``perron.fixed_vector``, past the primitivity gate."""
     w = perron.fixed_vector
     if w is None:
         raise PrimitivityError(
@@ -154,6 +152,8 @@ def _ttc_result(tm: TransitionMatrix, step: np.ndarray,
     full = np.zeros(tm.n)
     full[:-1] = w / w.sum()
     w_ttc = Portfolio(full)
+    # propagation's own name: this module's _step_matrix is the oracle loop's
+    step = propagation._step_matrix(tm, origination.weights)
     stepped = _propagate(full, (step,), np.empty((1, step.shape[1])))[0]
     return TTCResult(
         w_ttc=w_ttc,

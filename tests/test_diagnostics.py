@@ -415,29 +415,20 @@ def count_step_stacks(monkeypatch) -> list:
     return calls
 
 
-class TestOneStepMatrix:
-    """A validation builds its unstressed step matrix once, for the TTC
-    residual and the zero-stress path alike, and a projection builds it
-    only for a period that uses it."""
+class TestUnstressedStepOnlyWhenUsed:
+    """A projection builds the unstressed step matrix only if some period
+    is unstressed; the stressed periods share one stack."""
 
-    @pytest.mark.parametrize("system", ["bundled", "exact", "rounded"])
-    def test_validation_builds_one_step_matrix(self, system, monkeypatch,
-                                               matrix8, origination8):
-        rng = np.random.default_rng(2020)
-        tm, orig = {"bundled": lambda: (matrix8, origination8),
-                    "exact": lambda: random_system(rng, 21),
-                    "rounded": lambda: rounded_system(rng, 21)}[system]()
-        calls = count_step_stacks(monkeypatch)
-        ts.run_validation(random_portfolio(rng, tm.n), tm, orig)
-        assert len(calls) == 1
-
-    def test_fully_stressed_path_skips_the_unstressed_step(
-            self, monkeypatch, matrix8, origination8, portfolios):
+    @pytest.mark.parametrize("zero_at, builds", [(None, 1), (7, 2)])
+    def test_step_matrices_built(self, zero_at, builds, monkeypatch,
+                                 matrix8, origination8, portfolios):
         calls = count_step_stacks(monkeypatch)
         z = np.linspace(-2.0, 1.5, 39)
         assert (z != 0.0).all()
+        if zero_at is not None:
+            z[zero_at] = 0.0
         ts.project_path(portfolios["barbell"], matrix8, origination8, 0.2, z)
-        assert len(calls) == 1
+        assert len(calls) == builds
 
 
 def assert_same_bits(x, y) -> None:

@@ -9,8 +9,8 @@ import ttcstress as ts
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "stage_times.py"
 STAGES = ("run_validation(horizon=50)", "-> is_primitive",
-          "-> verify_perron_structure", "-> _step_matrix", "-> _ttc_result",
-          "-> compare_portfolios", "-> _project(z = 0)",
+          "-> verify_perron_structure", "-> _ttc_result",
+          "-> compare_portfolios", "-> project_path(z = 0)",
           "-> detect_spurious_dynamics", "-> rest of run_validation")
 
 
