@@ -172,13 +172,16 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
                    band: float = DEFAULT_BAND) -> ValidationReport:
     """Full pre-stress-test validation of a parameterization.
 
-    Checks primitivity, verifies the spectral structure, solves directly
-    for the TTC portfolio, compares it with the current book, projects
-    ``horizon`` periods with no stress and classifies the resulting PD path.
-    Each field is bit for bit what its stage's public function gives.
+    Checks the sizes, then primitivity, verifies the spectral structure,
+    solves directly for the TTC portfolio, compares it with the current
+    book, projects ``horizon`` periods with no stress and classifies the
+    resulting PD path.  Mismatched sizes raise an input error before any
+    model check can read them as a verdict.  Each field is bit for bit
+    what its stage's public function gives.
     """
     if horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
+    _check_sizes(current=current, matrix=tm, origination=origination)
     if not is_primitive(tm.performing_block):
         defect = _primitivity_defect(tm.performing_block > 0.0)
         return ValidationReport("fail: not primitive", defect=defect)

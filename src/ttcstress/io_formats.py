@@ -57,14 +57,19 @@ def _to_float(cell: str, row: int, col: int) -> float:
 def _float_rows(rows: list[list[str]], width: int, first: int,
                 skip: int = 0) -> np.ndarray:
     """The cells of ``rows`` past the first ``skip`` columns, as floats.
-    Each row must hold ``width`` cells; messages count rows from ``first``."""
+    Each row must hold ``width`` cells; messages count rows from ``first``.
+    A row converts in one call; only a row that fails is walked cell by
+    cell, to name its first bad cell."""
     data = []
     for i, row in enumerate(rows, start=first):
         if len(row) != width:
             raise InputError("ragged",
                              f"row {i} has {len(row)} cells, expected {width}")
-        data.append([_to_float(c, i, j)
-                     for j, c in enumerate(row[skip:], start=skip + 1)])
+        try:
+            data.append(list(map(float, row[skip:])))
+        except ValueError:
+            data.append([_to_float(c, i, j)
+                         for j, c in enumerate(row[skip:], start=skip + 1)])
     return np.array(data)
 
 

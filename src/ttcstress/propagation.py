@@ -125,14 +125,16 @@ def _step_stack(probs: np.ndarray, orig: np.ndarray,
     entry n, and with ``balance`` that book's total balance in entry n + 1,
     to rescale it to unit balance.
 
-    Built in whole-stack passes: the flow column, flow x orig, the added
-    migration block, then the default column, written as 0.0, which
-    0.0 + flow * orig[-1] always is (``orig[-1]`` is +-0.0)."""
+    Built in contiguous passes: flow x orig plus the migration block as a
+    fresh array, one copy into the stack, the flow column, then the default
+    column, written as 0.0, which 0.0 + flow * orig[-1] always is
+    (``orig[-1]`` is +-0.0)."""
     n = probs.shape[-1]
+    moved = np.multiply.outer(probs[..., n - 1], orig)
+    moved += probs
     b = np.empty(probs.shape[:-1] + (n + 1 + balance,))
+    b[..., :n] = moved
     b[..., n] = probs[..., n - 1]
-    np.multiply(b[..., n, None], orig, out=b[..., :n])
-    b[..., :n] += probs
     b[..., n - 1] = 0.0
     if balance:
         b[..., n + 1] = b[..., :n].sum(axis=-1)
@@ -148,22 +150,22 @@ def _step_matrix(tm: TransitionMatrix, orig: np.ndarray) -> np.ndarray:
 
 
 def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
-    """Move the book ``w`` through one period per step matrix of ``steps``.
+    """Move the book ``w`` through one period per step matrix of ``steps``,
+    each one ``ndarray.dot`` (the routine of :func:`numpy.dot`).
 
     Row t of ``out`` (at least n + 1 wide) gets the book after period t in
     its first n entries, rescaled to unit balance by a step matrix with a
     balance column, and the defaulted flow in entry n.  Returns the books.
     """
     n = w.size
-    books, moved = out[:, :n], out[:, :n + 1]
-    for t, b in enumerate(steps):
+    for b, row in zip(steps, out):
         if b.shape[1] == n + 1:
-            np.dot(w, b, out=moved[t])
+            w.dot(b, out=row[:n + 1])
         else:
-            np.dot(w, b, out=out[t])
-            out[t, :n] /= out[t, n + 1]
-        w = books[t]
-    return books
+            w.dot(b, out=row)
+            row[:n] /= row[n + 1]
+        w = row[:n]
+    return out[:, :n]
 
 
 def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
@@ -203,8 +205,10 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     the same as :func:`stress_transition_matrix` followed by
     :func:`propagate_step`; the step matrices of all stressed periods are
     built together, from one :func:`~ttcstress.transition._stressed_probs`
-    stack, and the unstressed one only if some period uses it.  The
-    recorded average PD uses the unstressed matrix throughout.
+    stack, and the unstressed one only if some period uses it.  When every
+    period is stressed that stack is the propagation's input as it is;
+    otherwise each period's step is picked from the two.  The recorded
+    average PD uses the unstressed matrix throughout.
     """
     z_arr = np.array(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -218,11 +222,14 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     orig = origination.weights
     stressed_at = (z_arr != 0.0) & (rho > 0.0)
     unstressed = None if stressed_at.all() else _step_matrix(tm, orig)
-    steps = [unstressed] * m
-    if stressed_at.any():
-        stack = _step_stack(_stressed_probs(tm, rho, z_arr[stressed_at]), orig)
-        for t, b in zip(np.flatnonzero(stressed_at), stack):
-            steps[t] = b
+    if unstressed is None:
+        steps = stack = _step_stack(_stressed_probs(tm, rho, z_arr), orig)
+    else:
+        steps = [unstressed] * m
+        if stressed_at.any():
+            stack = _step_stack(_stressed_probs(tm, rho, z_arr[stressed_at]), orig)
+            for t, b in zip(np.flatnonzero(stressed_at), stack):
+                steps[t] = b
     # the unstressed step, when built, is the widest (a balance column)
     buf = np.empty((m, (stack if unstressed is None else unstressed).shape[-1]))
     states = _propagate(initial.weights, steps, buf)

@@ -90,6 +90,19 @@ class TestValidateCommand:
             "verdict": "fail: not primitive", "primitive": False,
             "defect": "the grades cycle with period 2"}
 
+    def test_size_mismatch_is_an_input_error_not_a_verdict(self, tmp_path,
+                                                           capsys):
+        # the 3-grade matrix cycles with period 2, but its size disagrees
+        # with the 8-grade book and origination first, as in `ttc`
+        tm, _, _ = write_counterexample(tmp_path)
+        code, out, err = run("validate", "--matrix", tm, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION,
+                             capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == ("ttcstress: input error [dimension-mismatch]: "
+                       "current (8), matrix (3) and origination (8) sizes "
+                       "must agree\n")
+
     # rows within 1e-12 of unit sum, which the parser keeps as given
     EDGE_SYSTEMS = [
         ("0.491900000001,0.1858,0.3223\n0.5329000000009999,0.0303,0.4368\n"

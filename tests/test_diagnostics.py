@@ -139,6 +139,15 @@ class TestConvergenceToTTC:
 
 
 class TestRunValidation:
+    def test_size_mismatch_raises_before_the_primitivity_gate(
+            self, origination8, portfolios):
+        with pytest.raises(InputError) as err:
+            ts.run_validation(portfolios["midgrade"], counterexample_matrix(),
+                              origination8)
+        assert err.value.code == "dimension-mismatch"
+        assert str(err.value) == ("current (8), matrix (3) and origination "
+                                  "(8) sizes must agree")
+
     def test_midgrade_book_warns_about_recession(self, matrix8, origination8,
                                                  portfolios):
         report = ts.run_validation(portfolios["midgrade"], matrix8, origination8)

@@ -262,6 +262,33 @@ class TestPathCsv:
         assert err.value.code == "periods"
         assert "re-run propagate" in str(err.value)
 
+    def test_a_bad_cell_deep_in_a_long_file_names_its_row_and_column(
+            self, barbell_path):
+        lines = ts.emit_path_csv(barbell_path).splitlines()
+        cells = lines[40].split(",")
+        cells[6], cells[9] = "x1", "x2"
+        lines[40] = ",".join(cells)
+        with pytest.raises(InputError) as err:
+            ts.parse_path_csv("\n".join(lines) + "\n")
+        assert err.value.code == "non-numeric"
+        assert str(err.value) == "non-numeric cell 'x1' at row 41, column 7"
+
+    def test_rows_are_checked_in_order_width_before_cells(self,
+                                                          barbell_path):
+        lines = ts.emit_path_csv(barbell_path).splitlines()
+        bad = lines[30].split(",")
+        bad[5] = "x"
+        lines[30] = ",".join(bad[:-1])  # short and with a bad cell
+        lines[45] = lines[45].replace(",", ",y", 1)
+        with pytest.raises(InputError) as err:
+            ts.parse_path_csv("\n".join(lines) + "\n")
+        assert err.value.code == "ragged"
+        assert str(err.value) == "row 31 has 11 cells, expected 12"
+        lines[30] = ",".join(bad)  # full width: its bad cell comes first
+        with pytest.raises(InputError) as err:
+            ts.parse_path_csv("\n".join(lines) + "\n")
+        assert str(err.value) == "non-numeric cell 'x' at row 31, column 6"
+
     def test_shortest_round_trip_formatting(self):
         assert fmt(0.1) == "0.1"
         assert float(fmt(1.0 / 3.0)) == 1.0 / 3.0

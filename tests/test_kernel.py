@@ -97,6 +97,78 @@ class TestStepwiseBitIdentity:
         assert minus_zero == 30
 
 
+def reference_step_stack(probs, orig, balance):
+    """Step matrices entry by entry in Python floats: fl(fl(d_i o_j) + p_ij)
+    in the first n columns, then +0.0 in column n - 1, the flow d_i in
+    column n and, with ``balance``, the row sum of the first n columns."""
+    n = probs.shape[-1]
+    stack = probs.reshape(-1, n, n).tolist()
+    o = orig.tolist()
+    out = []
+    for p in stack:
+        for row in p:
+            d = row[n - 1]
+            cells = [d * o[j] + row[j] for j in range(n)]
+            cells[n - 1] = 0.0
+            cells.append(d)
+            if balance:
+                cells.append(float(np.sum(cells[:n])))
+            out.append(cells)
+    return np.array(out).reshape(probs.shape[:-1] + (n + 1 + balance,))
+
+
+class TestStepStackLayout:
+    """``_step_stack`` builds each entry as the elementwise reference does,
+    bit for bit, on stacks of up to 60 matrices of 3 to 40 grades."""
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_matches_the_elementwise_reference(self, k):
+        rng = np.random.default_rng(21000 + k)
+        n = int(rng.integers(3, 41))
+        shape = (n, n) if k % 4 == 0 else (int(rng.integers(1, 61)), n, n)
+        probs = rng.random(shape) ** 3
+        probs /= probs.sum(axis=-1, keepdims=True)
+        if k % 2:
+            probs = np.round(probs, 4)  # published rates: rows off one
+        orig = rng.random(n)
+        orig[-1] = -0.0 if k % 3 else 0.0
+        orig /= orig.sum()
+        for balance in (False, True):
+            got = propagation._step_stack(probs, orig, balance=balance)
+            want = reference_step_stack(probs, orig, balance)
+            assert got.shape == want.shape
+            assert_same_bits(got, want)
+            assert not np.signbit(got[..., n - 1]).any()
+
+
+class TestWholeStressStack:
+    """A path stressed in every period propagates the whole stress stack
+    as it is; a zero period makes ``project_path`` pick steps one by one.
+    Both give the same books and flows, bit for bit, for the same stressed
+    periods.  (The average PDs are one matrix-vector product over the whole
+    path, which BLAS may round differently for another number of rows.)"""
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_same_bits_as_inside_a_path_with_a_zero_period(self, k):
+        rng = np.random.default_rng(21200 + k)
+        n = int(rng.integers(3, 22))
+        tm, orig = (random_system if k % 2 else rounded_system)(rng, n)
+        book = random_portfolio(rng, n, performing_only=bool(k % 3))
+        rho = (0.05, 0.2, 0.6)[k % 3]
+        z = rng.normal(0.0, 2.0, int(rng.integers(1, 41)))
+        j = int(rng.integers(0, z.size + 1))
+        mixed = ts.project_path(book, tm, orig, rho, np.insert(z, j, 0.0))
+        before = ts.project_path(book, tm, orig, rho, z[:j]) if j else None
+        after = (ts.project_path(ts.Portfolio(mixed.portfolios[j]), tm, orig,
+                                 rho, z[j:]) if j < z.size else None)
+        for part, rows in ((before, slice(0, j)),
+                           (after, slice(j + 1, None))):
+            if part is None:
+                continue
+            assert_same_bits(part.portfolios, mixed.portfolios[rows])
+            assert_same_bits(part.default_flows, mixed.default_flows[rows])
+
+
 class TestTailLayoutOncePerMatrix:
     def test_second_stress_takes_no_quantile(self, monkeypatch):
         """The first stress of a matrix takes Phi^-1 of its distinct tails;
