@@ -149,6 +149,14 @@ def _step_matrix(tm: TransitionMatrix, orig: np.ndarray) -> np.ndarray:
     return _step_stack(tm.published, orig, balance=True)
 
 
+def _m_p(step: np.ndarray) -> np.ndarray:
+    """M_p of one step matrix: its performing block transposed, to act on
+    column vectors, as a contiguous copy (``eigvals`` and the bordered
+    solve of a transposed view round differently)."""
+    m = step.shape[0] - 1
+    return np.ascontiguousarray(step[:m, :m].T)
+
+
 def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
     """Move the book ``w`` through one period per step matrix of ``steps``,
     each one ``ndarray.dot`` (the routine of :func:`numpy.dot`).

@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Every stage but the oracle loop calls propagation's step helpers by module
+# name: the _step_matrix imported here is the loop's alone, so a patch of it
+# catches any use of the iterative oracle.
 from . import propagation
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes,
@@ -100,11 +103,8 @@ def build_m_p(tm: TransitionMatrix, origination: OriginationVector) -> np.ndarra
     d_i (1 - sum of o), so to one within the inputs' own checks.
     """
     _check_sizes(matrix=tm, origination=origination)
-    return _m_p(tm.probs, origination.weights)
-
-
-def _m_p(probs: np.ndarray, orig: np.ndarray) -> np.ndarray:
-    return probs[:-1, :-1].T + np.outer(orig[:-1], probs[:-1, -1])
+    return propagation._m_p(
+        propagation._step_stack(tm.probs, origination.weights))
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,6 @@ def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
     full = np.zeros(tm.n)
     full[:-1] = w / w.sum()
     w_ttc = Portfolio(full)
-    # propagation's own name: this module's _step_matrix is the oracle loop's
     step = propagation._step_matrix(tm, origination.weights)
     stepped = _propagate(full, (step,), np.empty((1, step.shape[1])))[0]
     return TTCResult(
@@ -296,8 +295,8 @@ def verify_perron_structure(tm: TransitionMatrix,
     fixed vector, the root and lambda_2.  Raises only for mismatched sizes.
     """
     _check_sizes(matrix=tm, origination=origination)
-    rates = tm.probs if tm.published is None else tm.published
-    m_p = _m_p(rates, origination.weights)
+    m_p = propagation._m_p(
+        propagation._step_matrix(tm, origination.weights))
     moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
     root = float(moduli[-1])
     w = _solve_unit_eigenvector(m_p, 1.0 if tm.published is None else root)

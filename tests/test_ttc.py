@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -387,3 +389,71 @@ class TestOneSpectralComputation:
             counts.update(dict.fromkeys(counts, 0))
             run()
             assert counts == {"eig": 0, "eigvals": 1, "solve": 1}
+
+
+def reference_m_p(probs: np.ndarray, orig: np.ndarray) -> np.ndarray:
+    """M_p entry by entry: (j, i) is the direct migration from grade i to
+    grade j plus the share of grade i's default flow re-originated into j."""
+    return probs[:-1, :-1].T + np.outer(orig[:-1], probs[:-1, -1])
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(np.frombuffer(got.tobytes(), np.uint8),
+                          np.frombuffer(want.tobytes(), np.uint8))
+
+
+@functools.cache
+def one_owner_systems() -> tuple:
+    """Seeded master-scale systems of 3 to 200 grades, as given (exact) and
+    with one row moved one tick (rounded), plus dense random ones."""
+    bench = bench_systems()
+    systems = []
+    for k, n in enumerate((3, 8, 21, 50, 200)):
+        for seed in range(2):
+            rng = np.random.default_rng(22000 + 10 * k + seed)
+            probs, orig = bench.rating_system(rng, n)
+            systems.append((ts.validate_transition_matrix(probs),
+                            ts.OriginationVector(orig)))
+            i = int(rng.integers(n - 1))
+            probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
+            systems.append((ts.validate_transition_matrix(probs, tol=2e-4),
+                            ts.OriginationVector(orig)))
+            systems.append((random_system if seed else rounded_system)(rng, n))
+    return tuple(systems)
+
+
+class TestOneOwnerOfTheMap:
+    """``build_m_p`` (on ``probs``) and the M_p behind
+    :func:`verify_perron_structure` (on the published rates of a matrix with
+    rounded rows) are the entrywise reference bit for bit, and so are their
+    eigenvalues and the Perron figures taken from them."""
+
+    def check(self, tm, orig, monkeypatch):
+        eigvals = np.linalg.eigvals
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: seen.append(a) or eigvals(a))
+        report = ts.verify_perron_structure(tm, orig)
+        rates = tm.probs if tm.published is None else tm.published
+        for got, probs in ((seen[0], rates),
+                           (ts.build_m_p(tm, orig), tm.probs)):
+            want = reference_m_p(probs, orig.weights)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, want)
+            assert_same_bits(eigvals(got), eigvals(want))
+        want = reference_m_p(rates, orig.weights)
+        moduli = np.sort(np.abs(eigvals(want)))
+        assert (report.root, report.lambda2) == (moduli[-1], moduli[-2])
+        fixed = ts.ttc._solve_unit_eigenvector(
+            want, 1.0 if tm.published is None else report.root)
+        assert_same_bits(report.fixed_vector, fixed)
+
+    @pytest.mark.parametrize("k", range(30))
+    def test_seeded_systems(self, k, monkeypatch):
+        tm, orig = one_owner_systems()[k]
+        self.check(tm, orig, monkeypatch)
+
+    def test_bundled_data(self, matrix8, origination8, monkeypatch):
+        assert matrix8.published is not None
+        self.check(matrix8, origination8, monkeypatch)
