@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, help="asset correlation used when "
                    "stressing: needed with a nonzero --z; with --scenario it "
                    "overrides the fitted one")
-    p.add_argument("--lag", type=int, default=0,
+    p.add_argument("--lag", type=int, default=None,
                    help="macro model lag when --scenario is used")
     p.add_argument("--horizon", type=int, help="projection periods (default "
                    f"{DEFAULT_HORIZON}, or the whole scenario with --scenario)")
@@ -296,7 +296,7 @@ def _scenario_z_path(args):
     if scenario is None:
         raise InputError("missing-column",
                          "scenario file has no macro variable columns")
-    model = fit_macro_model(series, scenario, lag=args.lag)
+    model = fit_macro_model(series, scenario, lag=args.lag or 0)
     return scenario, model, economy_state_path(model, scenario)
 
 
@@ -310,6 +310,10 @@ def _stress(args) -> tuple[np.ndarray, float, str]:
     if args.horizon is not None and args.horizon < 1:
         raise InputError("invalid-argument", "horizon must be >= 1")
     if args.scenario is None:
+        if args.lag is not None:
+            raise InputError("invalid-argument",
+                             f"--lag {args.lag} needs --scenario: without it "
+                             "no macro model is fitted")
         if args.z and args.rho is None:
             raise InputError("invalid-argument",
                              f"--z {fmt(args.z)} needs --rho: without it "

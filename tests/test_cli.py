@@ -211,6 +211,14 @@ class TestPropagateCommand:
         assert paths[0][1:] == paths[1][1:]
         assert paths[0][1] == paths[2][1].replace("-1.0,", "0.0,")
 
+    @pytest.mark.parametrize("lag", ["3", "0", "-2"])
+    def test_lag_without_scenario_is_input_error(self, lag, capsys):
+        code, out, err = run("propagate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION, "--lag",
+                             lag, "--z", "-1", "--rho", "0.2", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert f"--lag {lag} needs --scenario" in err
+
     @pytest.mark.parametrize("extra", [
         ("--rho", "nan", "--format", "json"),
         ("--rho", "1.5", "--z", "0"),
