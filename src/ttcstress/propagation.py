@@ -216,7 +216,10 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     stack, and the unstressed one only if some period uses it.  When every
     period is stressed that stack is the propagation's input as it is;
     otherwise each period's step is picked from the two.  The recorded
-    average PD uses the unstressed matrix throughout.
+    average PD uses the unstressed matrix throughout, one book at a time
+    (``einsum``, not a matrix-vector product that BLAS may round
+    differently for another number of rows), so a period's PD does not
+    depend on the horizon.
     """
     z_arr = np.array(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -247,5 +250,5 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
         z=z_arr,
         portfolios=states,
         default_flows=buf[:, n],
-        avg_pds=states @ tm.default_column,
+        avg_pds=np.einsum("ij,j->i", states, tm.default_column),
     )

@@ -144,9 +144,8 @@ class TestStepStackLayout:
 class TestWholeStressStack:
     """A path stressed in every period propagates the whole stress stack
     as it is; a zero period makes ``project_path`` pick steps one by one.
-    Both give the same books and flows, bit for bit, for the same stressed
-    periods.  (The average PDs are one matrix-vector product over the whole
-    path, which BLAS may round differently for another number of rows.)"""
+    Both give the same books, flows and average PDs, bit for bit, for the
+    same stressed periods."""
 
     @pytest.mark.parametrize("k", range(24))
     def test_same_bits_as_inside_a_path_with_a_zero_period(self, k):
@@ -167,6 +166,24 @@ class TestWholeStressStack:
                 continue
             assert_same_bits(part.portfolios, mixed.portfolios[rows])
             assert_same_bits(part.default_flows, mixed.default_flows[rows])
+            assert_same_bits(part.avg_pds, mixed.avg_pds[rows])
+
+
+class TestHorizonFreeAveragePd:
+    """A period's average PD does not depend on how many periods follow
+    it: each is reduced over its own book alone."""
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_every_horizon_prefix_of_a_60_period_path(self, z, portfolios,
+                                                      matrix8, origination8):
+        for book in portfolios.values():
+            full = ts.project_path(book, matrix8, origination8, 0.2,
+                                   np.full(60, z))
+            for h in range(1, 60):
+                short = ts.project_path(book, matrix8, origination8, 0.2,
+                                        np.full(h, z))
+                assert_same_bits(short.portfolios, full.portfolios[:h])
+                assert_same_bits(short.avg_pds, full.avg_pds[:h])
 
 
 class TestTailLayoutOncePerMatrix:
