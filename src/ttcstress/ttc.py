@@ -1,9 +1,10 @@
 """Existence and computation of the through-the-cycle (TTC) portfolio.
 
 The write-off / re-origination propagation map is linear on the performing
-grades: stacking row i of the transition matrix plus the origination term
-into column i gives a column-stochastic matrix M_p whose fixed vector is the
-TTC portfolio.  When the performing block is primitive, Perron-Frobenius
+grades.  :mod:`~ttcstress.propagation` alone lays it out, as the step matrix
+of one period; M_p is that matrix's performing block, transposed to act on
+column vectors.  M_p is column-stochastic and its fixed vector is the TTC
+portfolio.  When the performing block is primitive, Perron-Frobenius
 theory makes that fixed vector unique, strictly positive, and the attractor
 of plain iteration from any starting mix.
 
@@ -99,7 +100,9 @@ def build_m_p(tm: TransitionMatrix, origination: OriginationVector) -> np.ndarra
 
     Entry (j, i) is the probability mass grade i sends to grade j in one
     period: the direct migration plus the share of grade i's default flow
-    re-originated into j.  Column i sums to row i's sum less
+    re-originated into j.  It is the transposed performing block of the
+    propagation step matrix on ``tm.probs`` (the row-stochastic rates, also
+    for a matrix with rounded rows).  Column i sums to row i's sum less
     d_i (1 - sum of o), so to one within the inputs' own checks.
     """
     _check_sizes(matrix=tm, origination=origination)
@@ -266,8 +269,9 @@ class PerronReport:
     ``fixed_vector`` (the TTC portfolio on the performing grades, unit mass;
     None if the bordered system is singular), its fixed-point ``residual``,
     ``root`` and ``lambda2`` all come from one ``eigvals`` and one bordered
-    solve of the M_p the propagation step uses: the published-rate one for
-    a matrix with rounded rows.  Its mass is not checked again after
+    solve of the M_p of the unstressed propagation step: the transposed
+    performing block of its step matrix, on the published rates for a
+    matrix with rounded rows.  Its mass is not checked again after
     arithmetic: ``root`` states what a step keeps of it.
     """
 
@@ -286,7 +290,8 @@ class PerronReport:
 def verify_perron_structure(tm: TransitionMatrix,
                             origination: OriginationVector) -> PerronReport:
     """Check the spectral facts the TTC solvers rely on, on the one M_p the
-    propagation step uses: the published-rate one for a matrix with rounded
+    propagation step uses: the transposed performing block of the unstressed
+    step matrix, which is on the published rates for a matrix with rounded
     rows.  One ``eigvals`` gives the Perron root r and lambda_2, the
     second-largest eigenvalue modulus (0 for one performing grade), which
     must lie below one.  One bordered solve of (M_p - r I) w = 0 gives the
