@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Every stage but the oracle loop calls propagation's step helpers by module
-# name: the _step_matrix imported here is the loop's alone, so a patch of it
-# catches any use of the iterative oracle.
+# Outside the oracle loop, propagation's helpers are called by module name:
+# the _step_matrix imported below is the loop's alone, for a patch to catch.
 from . import propagation
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes,

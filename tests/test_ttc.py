@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -398,29 +396,27 @@ def reference_m_p(probs: np.ndarray, orig: np.ndarray) -> np.ndarray:
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    # bytes compared as arrays: pytest's diff of long byte strings is slow
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(np.frombuffer(got.tobytes(), np.uint8),
                           np.frombuffer(want.tobytes(), np.uint8))
 
 
-@functools.cache
-def one_owner_systems() -> tuple:
-    """Seeded master-scale systems of 3 to 200 grades, as given (exact) and
-    with one row moved one tick (rounded), plus dense random ones."""
-    bench = bench_systems()
-    systems = []
-    for k, n in enumerate((3, 8, 21, 50, 200)):
-        for seed in range(2):
-            rng = np.random.default_rng(22000 + 10 * k + seed)
-            probs, orig = bench.rating_system(rng, n)
-            systems.append((ts.validate_transition_matrix(probs),
-                            ts.OriginationVector(orig)))
-            i = int(rng.integers(n - 1))
-            probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
-            systems.append((ts.validate_transition_matrix(probs, tol=2e-4),
-                            ts.OriginationVector(orig)))
-            systems.append((random_system if seed else rounded_system)(rng, n))
-    return tuple(systems)
+def one_owner_system(k: int
+                     ) -> tuple[ts.TransitionMatrix, ts.OriginationVector]:
+    """System k of 30, n = 3, 8, 21, 50 and 200 six each: master-scale ones
+    as given (k % 3 == 0, exact) and with one row moved one tick (k % 3 ==
+    1, rounded), then dense random ones, exact (k % 6 == 2) or rounded."""
+    n = (3, 8, 21, 50, 200)[k // 6]
+    rng = np.random.default_rng(22000 + k)
+    if k % 3 == 2:
+        return (random_system if k % 6 == 2 else rounded_system)(rng, n)
+    probs, orig = bench_systems().rating_system(rng, n)
+    if k % 3 == 1:
+        i = int(rng.integers(n - 1))
+        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
+    return (ts.validate_transition_matrix(probs, tol=2e-4),
+            ts.OriginationVector(orig))
 
 
 class TestOneOwnerOfTheMap:
@@ -436,22 +432,23 @@ class TestOneOwnerOfTheMap:
                             lambda a: seen.append(a) or eigvals(a))
         report = ts.verify_perron_structure(tm, orig)
         rates = tm.probs if tm.published is None else tm.published
-        for got, probs in ((seen[0], rates),
-                           (ts.build_m_p(tm, orig), tm.probs)):
-            want = reference_m_p(probs, orig.weights)
+        perron_m_p = reference_m_p(rates, orig.weights)
+        for got, want in ((seen[0], perron_m_p),
+                          (ts.build_m_p(tm, orig),
+                           reference_m_p(tm.probs, orig.weights))):
             assert got.flags.c_contiguous
             assert_same_bits(got, want)
             assert_same_bits(eigvals(got), eigvals(want))
-        want = reference_m_p(rates, orig.weights)
-        moduli = np.sort(np.abs(eigvals(want)))
+        moduli = np.sort(np.abs(eigvals(perron_m_p)))
         assert (report.root, report.lambda2) == (moduli[-1], moduli[-2])
         fixed = ts.ttc._solve_unit_eigenvector(
-            want, 1.0 if tm.published is None else report.root)
+            perron_m_p, 1.0 if tm.published is None else report.root)
         assert_same_bits(report.fixed_vector, fixed)
 
     @pytest.mark.parametrize("k", range(30))
     def test_seeded_systems(self, k, monkeypatch):
-        tm, orig = one_owner_systems()[k]
+        tm, orig = one_owner_system(k)
+        assert (tm.published is None) == (k % 3 == 0 or k % 6 == 2)
         self.check(tm, orig, monkeypatch)
 
     def test_bundled_data(self, matrix8, origination8, monkeypatch):
