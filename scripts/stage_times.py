@@ -1,22 +1,32 @@
 """Time each stage of a validation and of a stressed projection, in
-microseconds.
+microseconds, for this tree or for it and another tree side by side.
 
-    python scripts/stage_times.py [--repeat N]
+    python scripts/stage_times.py [--repeat N] [--against TREE]
 
 Prints three tables.  The first two time ``run_validation(horizon=50)``
 and, one at a time, the stages it is made of, on two sets of inputs: the 8
-21-grade systems of the ``validate-21`` workload at seed 1 (built by that
+21-grade systems of the ``validate-21`` workload at seed 1 (drawn by that
 workload's own ``bench/inproc.py`` class, each with its book) and the
 bundled 8-grade data with its four books.  The third times
 ``project_path`` at the ``stress-fan`` workload's rho and the kernels it
 is made of, on that workload's seed-1 system and the z paths of its 16
-scenarios (built by its own class, each z path by its own op): the Phi
+scenarios (drawn by its own class, each z path by its own op): the Phi
 call, the rest of ``_stressed_probs``, ``_step_stack`` and
-``_propagate``.  Every round calls each stage once on each input, so the
-stages interleave; a stage's figure is its fastest call on an input,
-averaged over the inputs.  The last row of a table is what its first row
-spends outside the stages listed.  BLAS runs on one thread unless the
-environment says otherwise.
+``_propagate``.  Its title gives the Phi elements a path takes: stressed
+periods times the Phi values of the matrix's tail layout.  Every round
+calls each stage once on each input, so the stages interleave; a stage's
+figure is its fastest call on an input, averaged over the inputs.  The
+last row of a table is what its first row spends outside the stages
+listed.  BLAS runs on one thread unless the environment says otherwise.
+
+``--against TREE`` also imports ``TREE/src/ttcstress``, under another
+module name, into the same process, so that the host's drift between
+processes does not fall between the two trees.  Each tree builds its own
+matrices, books and origination vectors from the same raw arrays, CSV
+texts and z paths, and times them with its own functions; each round
+calls every stage on both trees in turn, the order swapped every other
+round.  The tables then give TREE's column, this tree's and this tree's
+difference from TREE.
 
 The benchmark's tracer wraps public functions only, so the private
 ``_ttc_result`` shows there as ``run_validation``'s self time, and every
@@ -26,6 +36,8 @@ them, and every stage's own time, apart.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import os
 import sys
 import time
@@ -36,48 +48,97 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-import ttcstress as ts  # noqa: E402
-from ttcstress.io_formats import parse_matrix_csv, parse_vector_csv  # noqa: E402
-from ttcstress.normal import std_normal_cdf  # noqa: E402
-from ttcstress.propagation import _propagate, _step_stack  # noqa: E402
-from ttcstress.transition import _shifted_quantile, _stressed_probs  # noqa: E402
-from ttcstress.ttc import _ttc_result  # noqa: E402
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import inproc  # noqa: E402
 
 HORIZON = 50
 SEED = 1
+AGAINST = "ttcstress_against"
 
 
-def validate21_cases() -> list[tuple]:
-    """(book, matrix, origination) of each validate-21 system at SEED, as
-    the workload builds them before an op."""
+class Side:
+    """One tree's ``ttcstress`` package, imported as ``name``, and the
+    private kernels that the tables time, each from that tree's modules."""
+
+    def __init__(self, name: str):
+        def module(sub):
+            return importlib.import_module(f"{name}.{sub}")
+
+        self.ts = importlib.import_module(name)
+        self.ttc_result = module("ttc")._ttc_result
+        self.propagate = module("propagation")._propagate
+        self.step_stack = module("propagation")._step_stack
+        self.shifted_quantile = module("transition")._shifted_quantile
+        self.stressed_probs = module("transition")._stressed_probs
+        self.cdf = module("normal").std_normal_cdf
+
+
+def load_against(tree: Path) -> Side:
+    """Import ``tree/src/ttcstress`` as the package AGAINST."""
+    package = tree / "src" / "ttcstress"
+    spec = importlib.util.spec_from_file_location(
+        AGAINST, package / "__init__.py",
+        submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST] = module
+    spec.loader.exec_module(module)
+    return Side(AGAINST)
+
+
+def validate21_raw() -> list[tuple]:
+    """(book, matrix, origination) arrays of each validate-21 system at
+    SEED, as the workload draws them before an op."""
     workload = inproc.Validate21(ROOT, SEED)
-    cases = []
+    raw = []
     for k in range(inproc.SYSTEMS):
         workload.before(k)
-        *_, tm, ov, book = workload.case
-        cases.append((book, tm, ov))
-    return cases
+        _, probs, orig, book, *_ = workload.case
+        raw.append((book, probs, orig))
+    return raw
 
 
-def bundled_cases() -> list[tuple]:
+def from_arrays(side: Side, book, probs, orig, *rest) -> tuple:
+    """``side``'s book, matrix and origination vector, as the workloads
+    build them, then ``rest`` as it is."""
+    ts = side.ts
+    return (ts.Portfolio(book), ts.TransitionMatrix(probs),
+            ts.OriginationVector(orig), *rest)
+
+
+def bundled_raw() -> list[tuple]:
+    """(book, matrix, origination) CSV texts of the bundled data, per book."""
     data = ROOT / "data"
-    tm = parse_matrix_csv((data / "transition_matrix.csv").read_text())
-    ov = parse_vector_csv((data / "origination.csv").read_text(),
-                          "origination")
-    return [(parse_vector_csv((data / f"portfolio_{name}.csv").read_text(),
-                              "portfolio"), tm, ov)
+    matrix = (data / "transition_matrix.csv").read_text()
+    orig = (data / "origination.csv").read_text()
+    return [((data / f"portfolio_{name}.csv").read_text(), matrix, orig)
             for name in ("midgrade", "barbell", "speculative_tilt",
                          "seasoned")]
 
 
-def stages(book, tm, ov) -> dict:
+def from_texts(side: Side, book, matrix, orig) -> tuple:
+    ts = side.ts
+    return (ts.parse_vector_csv(book, "portfolio"), ts.parse_matrix_csv(matrix),
+            ts.parse_vector_csv(orig, "origination"))
+
+
+def stress_fan_raw() -> list[tuple]:
+    """(book, matrix, origination, z path) arrays of each stress-fan
+    scenario at SEED, the z path as the workload's op computes it."""
+    workload = inproc.StressFan(ROOT, SEED)
+    probs, orig, book = workload.raw
+    cases = []
+    for k in range(inproc.FAN_SCENARIOS):
+        workload.before(k)
+        cases.append((book, probs, orig, workload.op(k)[0]))
+    return cases
+
+
+def stages(side: Side, book, tm, ov) -> dict:
     """Each stage as a call with no arguments, on inputs built once."""
+    ts = side.ts
     perron = ts.verify_perron_structure(tm, ov)
-    w_ttc = _ttc_result(tm, ov, perron).w_ttc
+    w_ttc = side.ttc_result(tm, ov, perron).w_ttc
     path = ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON))
     return {
         "run_validation(horizon=50)":
@@ -85,7 +146,7 @@ def stages(book, tm, ov) -> dict:
         "is_primitive": lambda: ts.is_primitive(tm.performing_block),
         "verify_perron_structure":
             lambda: ts.verify_perron_structure(tm, ov),
-        "_ttc_result": lambda: _ttc_result(tm, ov, perron),
+        "_ttc_result": lambda: side.ttc_result(tm, ov, perron),
         "compare_portfolios": lambda: ts.compare_portfolios(book, w_ttc, tm),
         "project_path(z = 0)":
             lambda: ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON)),
@@ -94,82 +155,115 @@ def stages(book, tm, ov) -> dict:
     }
 
 
-def stress_fan_cases() -> list[tuple]:
-    """(book, matrix, origination, z path) of each stress-fan scenario at
-    SEED, the z path as the workload's op computes it."""
-    workload = inproc.StressFan(ROOT, SEED)
-    cases = []
-    for k in range(inproc.FAN_SCENARIOS):
-        workload.before(k)
-        z = workload.op(k)[0]
-        cases.append((workload.book, workload.tm, workload.orig, z))
-    return cases
-
-
-def stress_stages(book, tm, ov, z) -> dict:
+def stress_stages(side: Side, book, tm, ov, z) -> dict:
     """The stressed projection and its kernels, as calls with no
     arguments; ``_stressed_probs`` is split into its Phi call and the
     rest after timing."""
     rho, orig = inproc.FAN_RHO, ov.weights
-    x = _shifted_quantile(tm._tail_layout[0], rho, z[:, None])
-    probs = _stressed_probs(tm, rho, z)
-    steps = _step_stack(probs, orig)
+    x = side.shifted_quantile(tm._tail_layout[0], rho, z[:, None])
+    probs = side.stressed_probs(tm, rho, z)
+    steps = side.step_stack(probs, orig)
     buf = np.empty((z.size, steps.shape[-1]))
     return {
         f"project_path(rho={rho})":
-            lambda: ts.project_path(book, tm, ov, rho, z),
-        "std_normal_cdf": lambda: std_normal_cdf(x),
-        "_stressed_probs": lambda: _stressed_probs(tm, rho, z),
-        "_step_stack": lambda: _step_stack(probs, orig),
-        "_propagate": lambda: _propagate(book.weights, steps, buf),
+            lambda: side.ts.project_path(book, tm, ov, rho, z),
+        "std_normal_cdf": lambda: side.cdf(x),
+        "_stressed_probs": lambda: side.stressed_probs(tm, rho, z),
+        "_step_stack": lambda: side.step_stack(probs, orig),
+        "_propagate": lambda: side.propagate(book.weights, steps, buf),
     }
 
 
-def stage_minima(cases: list[tuple], repeat: int,
-                 stages=stages) -> dict[str, float]:
-    """Mean over ``cases`` of each stage's fastest call, in microseconds."""
-    calls = [stages(*case) for case in cases]
-    best = [dict.fromkeys(c, float("inf")) for c in calls]
+def phi_elements(cases: list[tuple]) -> float:
+    """Mean over the stress-fan ``cases`` of the Phi elements a path
+    takes: its stressed periods times its matrix's Phi values."""
+    return float(np.mean([z.size * tm._tail_layout[0].size
+                          for _, tm, _, z in cases]))
+
+
+def stage_minima(calls: list[list[dict]], repeat: int) -> list[dict]:
+    """Per side, the mean over its inputs of each stage's fastest call, in
+    microseconds.  ``calls[s][c]`` maps each stage to a call on input c of
+    side s; a round calls each stage of each input on every side in turn,
+    in reverse order every other round."""
+    best = [[dict.fromkeys(per_case, float("inf")) for per_case in side]
+            for side in calls]
+    sides = list(range(len(calls)))
     clock = time.perf_counter
-    for _ in range(repeat):
-        for per_case, fastest in zip(calls, best):
-            for name, call in per_case.items():
-                t0 = clock()
-                call()
-                fastest[name] = min(fastest[name], clock() - t0)
-    return {name: 1e6 * float(np.mean([b[name] for b in best]))
-            for name in best[0]}
+    for r in range(repeat):
+        order = sides if r % 2 == 0 else sides[::-1]
+        for c, per_case in enumerate(calls[0]):
+            for name in per_case:
+                for s in order:
+                    call = calls[s][c][name]
+                    t0 = clock()
+                    call()
+                    fastest = best[s][c]
+                    fastest[name] = min(fastest[name], clock() - t0)
+    return [{name: 1e6 * float(np.mean([b[name] for b in side]))
+             for name in side[0]} for side in best]
 
 
-def print_table(title: str, figures: dict[str, float]) -> None:
-    total, *parts = figures.items()
-    print(f"{title}\n| stage | us |\n|---|---|")
-    print(f"| {total[0]} | {total[1]:.1f} |")
-    for name, us in parts:
-        print(f"| -> {name} | {us:.1f} |")
-    rest = total[1] - sum(us for _, us in parts)
-    print(f"| -> rest of {total[0].split('(')[0]} | {rest:.1f} |\n")
+def print_table(title: str, columns: list[dict]) -> None:
+    """One column of figures, or TREE's, this tree's and their difference."""
+    names = list(columns[0])
+    rest = [col[names[0]] - sum(col[name] for name in names[1:])
+            for col in columns]
+    rows = [[col[name] for col in columns] for name in names] + [rest]
+    labels = ([names[0]] + [f"-> {name}" for name in names[1:]]
+              + [f"-> rest of {names[0].split('(')[0]}"])
+    heads = ["us"] if len(columns) == 1 else ["against us", "this us",
+                                               "difference"]
+    print(f"{title}\n| stage | {' | '.join(heads)} |\n|---{'|---' * len(heads)}|")
+    for label, figures in zip(labels, rows):
+        cells = [f"{us:.1f}" for us in figures]
+        if len(figures) == 2:
+            cells.append(f"{figures[1] - figures[0]:+.1f}")
+        print(f"| {label} | {' | '.join(cells)} |")
+    print()
+
+
+def split_phi(figures: dict) -> dict:
+    """The stressed table's figures with ``_stressed_probs`` less its Phi
+    call in its place."""
+    total, phi, probs, *kernels = figures.items()
+    return dict([total, phi, ("rest of _stressed_probs", probs[1] - phi[1]),
+                 *kernels])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=400,
                         help="calls of each stage per system (default 400)")
+    parser.add_argument("--against", type=Path, metavar="TREE",
+                        help="also time TREE/src/ttcstress, in this process")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    print_table(f"validate-21 systems, seed {SEED}, minimum of "
-                f"{args.repeat} interleaved calls",
-                stage_minima(validate21_cases(), args.repeat))
-    print_table(f"bundled 8-grade data, four books, minimum of "
-                f"{args.repeat} interleaved calls",
-                stage_minima(bundled_cases(), args.repeat))
-    stress = stage_minima(stress_fan_cases(), args.repeat, stress_stages)
-    total, phi, probs, *kernels = stress.items()
-    print_table(f"stress-fan system and scenarios, seed {SEED}, minimum of "
-                f"{args.repeat} interleaved calls",
-                dict([total, phi, ("rest of _stressed_probs",
-                                   probs[1] - phi[1]), *kernels]))
+    if args.against and not (args.against / "src" / "ttcstress"
+                             / "__init__.py").is_file():
+        parser.error(f"--against: no src/ttcstress package in {args.against}")
+    sides = [Side("ttcstress")]
+    if args.against:
+        sides.insert(0, load_against(args.against))
+    calls = f"minimum of {args.repeat} interleaved calls"
+    for title, raw, build in (
+            (f"validate-21 systems, seed {SEED}", validate21_raw(),
+             from_arrays),
+            ("bundled 8-grade data, four books", bundled_raw(), from_texts)):
+        print_table(f"{title}, {calls}", stage_minima(
+            [[stages(side, *build(side, *case)) for case in raw]
+             for side in sides], args.repeat))
+    raw = stress_fan_raw()
+    cases = [[from_arrays(side, *case) for case in raw] for side in sides]
+    elements = [f"{phi_elements(c):.0f}" for c in cases]
+    if args.against:
+        elements = [f"{elements[1]} (against {elements[0]})"]
+    stress = stage_minima([[stress_stages(side, *case) for case in c]
+                           for side, c in zip(sides, cases)], args.repeat)
+    print_table(f"stress-fan system and scenarios, seed {SEED}, "
+                f"{elements[0]} Phi elements per path, {calls}",
+                [split_phi(figures) for figures in stress])
     return 0
 
 

@@ -12,9 +12,10 @@ matrix unchanged.  A :class:`TransitionMatrix` holds a read-only copy of its
 rates, so the z-independent part of the transform, Phi^-1 of the tails and
 where each tail's stressed value goes, is built once per matrix, on its
 first stress, and reused by every later one.  All the stressed states of a
-path share one Phi call.  Both run once per distinct tail: a tail equal to
-its left neighbour (a zero entry of the row) has the same stressed value, so
-it is gathered rather than evaluated again.
+path share one Phi call.  Both run once per distinct tail value of the
+matrix; tails of exactly 0 or 1 are gathered from the fixed slots.  Equal
+tails, in one row or across rows, have the same stressed value, so each is
+gathered rather than evaluated again.
 """
 from __future__ import annotations
 
@@ -40,7 +41,9 @@ class TransitionMatrix:
     a read-only copy of the rates given, so the stress layout cached from it
     stays valid, and passes :func:`_check_rates` at 1e-12; use
     :func:`validate_transition_matrix` to repair raw data that is only
-    approximately stochastic.
+    approximately stochastic.  The layout takes Phi^-1 once per distinct
+    tail value of the matrix; tails of exactly 0 or 1 are gathered from the
+    fixed slots.
 
     ``published`` records how a table was parsed, and only
     :func:`validate_transition_matrix` sets it.  It is None for a matrix
@@ -78,23 +81,26 @@ class TransitionMatrix:
 
     @cached_property
     def _tail_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, index): q = Phi^-1 of the distinct cumulative tails, and the
+        """(q, index): q = Phi^-1 of the distinct cumulative tail values
+        strictly inside (0, 1) over all performing rows, sorted, and the
         flat index into ``[1, 0, Phi-values of q...]`` that gathers the
         (n-1, n+1) table of every performing row's tails, from the whole row
-        (1) down to the empty tail (0).  A tail equal to its left neighbour
-        is not distinct and points at that neighbour's value."""
+        (1) down to the empty tail (0).  Phi^-1 and Phi run once per
+        distinct tail value of the matrix; tails of exactly 0 or 1 are
+        gathered from the fixed slots, so neither ever sees +-inf."""
         n = self.n
         # tails[:, k] = sum of row entries from column k + 1 to the end
         tails = np.clip(np.cumsum(self.probs[:-1, ::-1], axis=1)[:, -2::-1],
                         0.0, 1.0)
-        new = np.empty(tails.shape, dtype=bool)
-        new[:, 0] = True
-        np.not_equal(tails[:, 1:], tails[:, :-1], out=new[:, 1:])
+        inner = (tails > 0.0) & (tails < 1.0)
+        values, slot = np.unique(tails[inner], return_inverse=True)
         index = np.empty((n - 1, n + 1), dtype=np.intp)
         index[:, 0] = 0
         index[:, n] = 1
-        index[:, 1:n] = np.cumsum(new).reshape(tails.shape) + 1
-        return std_normal_inv_cdf(tails[new]), index.ravel()
+        body = index[:, 1:n]
+        body[...] = tails < 1.0  # slot 0 holds 1.0, slot 1 holds 0.0
+        body[inner] = slot + 2
+        return std_normal_inv_cdf(values), index.ravel()
 
 
 def _check_rates(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -205,13 +211,14 @@ def _stressed_probs(tm: TransitionMatrix, rho: float,
 
     The quantiles Phi^-1 of the cumulative tails do not depend on z, so
     ``tm._tail_layout`` takes them once per matrix, on its first stress.
-    Every state then shares one Phi call over the distinct tails; a tail
-    equal to its left neighbour (a zero entry, or one lost to rounding)
-    gets the same Phi value bit for bit, as one gather of the cumulative
-    tables places each value.  The performing rows are their differences,
-    written into one contiguous buffer, clamped only where cancellation
-    left them below zero, rescaled to sum one, and copied once into the
-    stack.  ``rho`` must already be checked and nonzero, and every z_k
+    Every state then shares one Phi call, once per distinct tail value of
+    the matrix; tails of exactly 0 or 1 are gathered from the fixed slots.
+    A repeated tail (a zero entry, one lost to rounding, or a value another
+    row shares) gets the same Phi value bit for bit, as one gather of the
+    cumulative tables places each value.  The performing rows are their
+    differences, written into one contiguous buffer, clamped only where
+    cancellation left them below zero, rescaled to sum one, and copied once
+    into the stack.  ``rho`` must already be checked and nonzero, and every z_k
     finite and nonzero.
     """
     q, index = tm._tail_layout

@@ -187,10 +187,15 @@ class TestHorizonFreeAveragePd:
 
 
 class TestTailLayoutOncePerMatrix:
+    """The tail layout is built once per matrix, on its first stress, and
+    takes Phi^-1 once per distinct tail value of the matrix; tails of
+    exactly 0 or 1 are gathered from the fixed slots.  A validation never
+    builds it."""
+
     def test_second_stress_takes_no_quantile(self, monkeypatch):
-        """The first stress of a matrix takes Phi^-1 of its distinct tails;
-        later stresses of the same matrix take none, and each still makes
-        one Phi call over its stressed states times the distinct tails."""
+        """The first stress of a matrix takes Phi^-1 of its distinct tail
+        values; later stresses of the same matrix take none, and each still
+        makes one Phi call over its stressed states times those values."""
         calls = {"cdf": [], "inv": []}
 
         def counting(name, real):
@@ -278,12 +283,25 @@ def stress_cases(count: int = 160):
         yield tm, rho, z
 
 
-def distinct_tails(probs: np.ndarray) -> int:
-    """Count of the tails from column 2 onward that differ from the tail to
-    their left, plus one per row."""
+def inner_tails(probs: np.ndarray) -> list[set]:
+    """Per performing row, the set of its tails from column 2 onward that
+    lie strictly inside (0, 1)."""
     tails = np.clip(np.cumsum(probs[:-1, ::-1], axis=1)[:, ::-1][:, 1:],
                     0.0, 1.0)
-    return tails.shape[0] + int((np.diff(tails, axis=1) != 0.0).sum())
+    return [{t for t in row if 0.0 < t < 1.0} for row in tails.tolist()]
+
+
+def distinct_tails(probs: np.ndarray) -> int:
+    """Count of the distinct tail values strictly inside (0, 1), from
+    column 2 onward, over all performing rows."""
+    return len(set().union(*inner_tails(probs)))
+
+
+def tails_repeated_across_rows(probs: np.ndarray) -> int:
+    """Count of the tail values strictly inside (0, 1) that two performing
+    rows or more share."""
+    rows = inner_tails(probs)
+    return sum(len(row) for row in rows) - len(set().union(*rows))
 
 
 def kernel_rows(tm, rho, z):
@@ -296,20 +314,59 @@ def assert_same_bits(got, want):
 
 
 class TestDistinctTailKernel:
-    """The stress kernel evaluates Phi^-1 and Phi once per distinct tail,
-    and its rows are bit for bit those of the dense kernel that evaluates
-    every tail (``oracles.stressed_rows_dense``)."""
+    """The stress kernel evaluates Phi^-1 and Phi once per distinct tail
+    value of the matrix; tails of exactly 0 or 1 are gathered from the
+    fixed slots.  Its rows are bit for bit those of the dense kernel that
+    evaluates every tail (``oracles.stressed_rows_dense``)."""
 
     def test_matches_the_dense_kernel_bit_for_bit(self):
-        zero_pd_rows = exact_one_tails = 0
+        zero_pd_rows = exact_one_tails = across_rows = 0
         for tm, rho, z in stress_cases():
             assert_same_bits(kernel_rows(tm, rho, z),
                              oracles.stressed_rows_dense(tm.probs, rho, z))
             tails = np.cumsum(tm.probs[:-1, ::-1], axis=1)[:, ::-1]
             zero_pd_rows += int((tails[:, -1] == 0.0).sum())
             exact_one_tails += int((tails[:, 1] == 1.0).sum())
-        # the cases include both kinds of edge row
+            across_rows += tails_repeated_across_rows(tm.probs)
+        # the cases include both kinds of edge row, and tails that rows share
         assert zero_pd_rows > 20 and exact_one_tails > 20
+        assert across_rows > 20
+
+    def test_shared_rows_zero_pd_and_leading_zeros(self, monkeypatch):
+        """Two identical rows, a zero-PD row and rows with leading zeros:
+        Phi^-1 gets each distinct tail value inside (0, 1) once, Phi each
+        of their shifted quantiles once per state, no argument is +-inf,
+        and the rows are the dense kernel's, signbits included."""
+        probs = np.array([
+            [0.0, 0.0, 0.5, 0.25, 0.125, 0.125],
+            [0.0, 0.0, 0.5, 0.25, 0.125, 0.125],
+            [0.25, 0.5, 0.25, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.25, 0.125, 0.0625, 0.0625],
+            [0.0625, 0.0625, 0.125, 0.25, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+        seen = {"cdf": [], "inv": []}
+
+        def recording(name, real):
+            def wrapped(x):
+                seen[name].append(np.array(x, dtype=float))
+                return real(x)
+            return wrapped
+
+        monkeypatch.setattr(transition, "std_normal_cdf",
+                            recording("cdf", transition.std_normal_cdf))
+        monkeypatch.setattr(transition, "std_normal_inv_cdf",
+                            recording("inv", transition.std_normal_inv_cdf))
+        tm = ts.TransitionMatrix(probs)
+        z = np.array([-2.5, -1.0, 0.75, 3.0])
+        rows = kernel_rows(tm, 0.2, z)
+        values = sorted(set().union(*inner_tails(probs)))
+        assert values == [0.0625, 0.125, 0.25, 0.5, 0.75, 0.875, 0.9375]
+        (inv,), (cdf,) = seen["inv"], seen["cdf"]
+        assert inv.tolist() == values
+        assert cdf.shape == (z.size, len(values))
+        assert all(np.unique(x).size == len(values) for x in cdf)
+        assert np.isfinite(inv).all() and np.isfinite(cdf).all()
+        assert_same_bits(rows, oracles.stressed_rows_dense(probs, 0.2, z))
 
     def test_one_evaluation_per_distinct_tail(self, monkeypatch):
         sizes = {"cdf": [], "inv": []}

@@ -1,10 +1,14 @@
 """Smoke test of scripts/stage_times.py: a short run prints the two
 validation tables, each with every stage of ``run_validation`` and a
-positive time, and the stressed-projection table with each of its kernels."""
+positive time, and the stressed-projection table with each of its kernels;
+with ``--against`` each table has both trees' columns and their
+difference."""
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ttcstress as ts
 
@@ -36,6 +40,34 @@ def test_prints_every_stage_for_both_input_sets():
         rows = [line.strip("|").split("|") for line in table.splitlines()[3:]]
         assert tuple(name.strip() for name, _ in rows) == stages
         assert all(float(us) > 0.0 for _, us in rows[:-1])
+
+
+def test_against_the_same_tree_prints_both_columns():
+    tree = str(SCRIPT.parent.parent)
+    proc = run("--repeat", "2", "--against", tree)
+    assert proc.returncode == 0, proc.stderr
+    tables = proc.stdout.strip().split("\n\n")
+    assert len(tables) == 3
+    title = tables[2].splitlines()[0]
+    elements = title.split(", ")[2]
+    this, against = elements.removesuffix(" Phi elements per path").split(
+        " (against ")
+    assert int(this) == int(against.rstrip(")")) > 0
+    for table, stages in zip(tables, (STAGES, STAGES, STRESS_STAGES)):
+        head = table.splitlines()[1]
+        assert head == "| stage | against us | this us | difference |"
+        rows = [line.strip("|").split("|") for line in table.splitlines()[3:]]
+        assert tuple(row[0].strip() for row in rows) == stages
+        for _, against_us, this_us, diff in rows[:-1]:
+            assert float(against_us) > 0.0 and float(this_us) > 0.0
+            assert float(diff) == pytest.approx(
+                float(this_us) - float(against_us), abs=0.11)
+
+
+def test_rejects_a_tree_without_the_package(tmp_path):
+    proc = run("--repeat", "1", "--against", str(tmp_path))
+    assert proc.returncode == 2
+    assert "no src/ttcstress package" in proc.stderr
 
 
 def test_rejects_a_repeat_count_below_one():
