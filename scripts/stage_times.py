@@ -117,8 +117,10 @@ def bundled_raw() -> list[tuple]:
 
 
 def from_texts(side: Side, book, matrix, orig) -> tuple:
+    """``side``'s book, matrix and origination vector, parsed."""
     ts = side.ts
-    return (ts.parse_vector_csv(book, "portfolio"), ts.parse_matrix_csv(matrix),
+    return (ts.parse_vector_csv(book, "portfolio"),
+            ts.parse_matrix_csv(matrix),
             ts.parse_vector_csv(orig, "origination"))
 
 
@@ -212,9 +214,10 @@ def print_table(title: str, columns: list[dict]) -> None:
     rows = [[col[name] for col in columns] for name in names] + [rest]
     labels = ([names[0]] + [f"-> {name}" for name in names[1:]]
               + [f"-> rest of {names[0].split('(')[0]}"])
-    heads = ["us"] if len(columns) == 1 else ["against us", "this us",
-                                               "difference"]
-    print(f"{title}\n| stage | {' | '.join(heads)} |\n|---{'|---' * len(heads)}|")
+    heads = (["us"] if len(columns) == 1
+             else ["against us", "this us", "difference"])
+    print(f"{title}\n| stage | {' | '.join(heads)} |")
+    print(f"|---{'|---' * len(heads)}|")
     for label, figures in zip(labels, rows):
         cells = [f"{us:.1f}" for us in figures]
         if len(figures) == 2:
@@ -256,13 +259,13 @@ def main(argv=None) -> int:
              for side in sides], args.repeat))
     raw = stress_fan_raw()
     cases = [[from_arrays(side, *case) for case in raw] for side in sides]
-    elements = [f"{phi_elements(c):.0f}" for c in cases]
-    if args.against:
-        elements = [f"{elements[1]} (against {elements[0]})"]
+    elements = [phi_elements(c) for c in cases]
+    count = f"{elements[-1]:.0f}" + (f" (against {elements[0]:.0f})"
+                                     if args.against else "")
     stress = stage_minima([[stress_stages(side, *case) for case in c]
                            for side, c in zip(sides, cases)], args.repeat)
     print_table(f"stress-fan system and scenarios, seed {SEED}, "
-                f"{elements[0]} Phi elements per path, {calls}",
+                f"{count} Phi elements per path, {calls}",
                 [split_phi(figures) for figures in stress])
     return 0
 
