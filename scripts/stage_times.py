@@ -15,7 +15,14 @@ call, the rest of ``_stressed_probs``, ``_step_stack`` and
 ``_propagate``.  Its title gives the Phi elements a path takes: stressed
 periods times the Phi values of the matrix's tail layout.  Every round
 calls each stage once on each input, so the stages interleave; a stage's
-figure is its fastest call on an input, averaged over the inputs.  The
+figure is its fastest call on an input, averaged over the inputs.  Before
+each call of a validation stage, outside the timed call, the book, matrix
+and origination vector are built anew, as the ``validate-21`` workload
+builds them before every op: a matrix keeps the unstressed step matrix it
+was given, so reused objects would time every stage on a kept step.  The
+stages that the timed one follows inside ``run_validation`` run on those
+objects first, untimed.  The stressed table keeps one matrix for every
+round, as the ``stress-fan`` workload keeps one for every op.  The
 last row of a table is what its first row spends outside the stages
 listed.  BLAS runs on one thread unless the environment says otherwise.
 
@@ -36,6 +43,7 @@ them, and every stage's own time, apart.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import os
@@ -136,37 +144,69 @@ def stress_fan_raw() -> list[tuple]:
     return cases
 
 
-def stages(side: Side, book, tm, ov) -> dict:
-    """Each stage as a call with no arguments, on inputs built once."""
+def stages(side: Side, build) -> dict:
+    """Each stage of a validation as a set-up with no arguments that returns
+    the call to time.  Every set-up takes a new book, matrix and origination
+    vector from ``build``, as the validate-21 workload builds them before
+    every op, so no call finds a step matrix that an earlier call left on
+    its matrix.  A set-up runs, untimed, the stages its own reads from
+    inside ``run_validation``: the TTC solve and the projection start on a
+    matrix that the Perron check has given its step matrix."""
     ts = side.ts
-    perron = ts.verify_perron_structure(tm, ov)
-    w_ttc = side.ttc_result(tm, ov, perron).w_ttc
-    path = ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON))
-    return {
-        "run_validation(horizon=50)":
-            lambda: ts.run_validation(book, tm, ov, horizon=HORIZON),
-        "is_primitive": lambda: ts.is_primitive(tm.performing_block),
-        "verify_perron_structure":
-            lambda: ts.verify_perron_structure(tm, ov),
-        "_ttc_result": lambda: side.ttc_result(tm, ov, perron),
-        "compare_portfolios": lambda: ts.compare_portfolios(book, w_ttc, tm),
-        "project_path(z = 0)":
-            lambda: ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON)),
-        "detect_spurious_dynamics":
-            lambda: ts.detect_spurious_dynamics(path),
-    }
+
+    def checked():
+        book, tm, ov = build()
+        return book, tm, ov, ts.verify_perron_structure(tm, ov)
+
+    def validation():
+        book, tm, ov = build()
+        return lambda: ts.run_validation(book, tm, ov, horizon=HORIZON)
+
+    def primitivity():
+        tm = build()[1]
+        return lambda: ts.is_primitive(tm.performing_block)
+
+    def perron():
+        _, tm, ov = build()
+        return lambda: ts.verify_perron_structure(tm, ov)
+
+    def ttc_result():
+        _, tm, ov, report = checked()
+        return lambda: side.ttc_result(tm, ov, report)
+
+    def comparison():
+        book, tm, ov, report = checked()
+        w_ttc = side.ttc_result(tm, ov, report).w_ttc
+        return lambda: ts.compare_portfolios(book, w_ttc, tm)
+
+    def projection():
+        book, tm, ov, _ = checked()
+        return lambda: ts.project_path(book, tm, ov, 0.0, np.zeros(HORIZON))
+
+    def classification():
+        path = projection()()
+        return lambda: ts.detect_spurious_dynamics(path)
+
+    return {"run_validation(horizon=50)": validation,
+            "is_primitive": primitivity,
+            "verify_perron_structure": perron,
+            "_ttc_result": ttc_result,
+            "compare_portfolios": comparison,
+            "project_path(z = 0)": projection,
+            "detect_spurious_dynamics": classification}
 
 
 def stress_stages(side: Side, book, tm, ov, z) -> dict:
-    """The stressed projection and its kernels, as calls with no
-    arguments; ``_stressed_probs`` is split into its Phi call and the
-    rest after timing."""
+    """The stressed projection and its kernels, as set-ups that return the
+    same call every round: one matrix serves every round, as in the
+    stress-fan workload.  ``_stressed_probs`` is split into its Phi call
+    and the rest after timing."""
     rho, orig = inproc.FAN_RHO, ov.weights
     x = side.shifted_quantile(tm._tail_layout[0], rho, z[:, None])
     probs = side.stressed_probs(tm, rho, z)
     steps = side.step_stack(probs, orig)
     buf = np.empty((z.size, steps.shape[-1]))
-    return {
+    calls = {
         f"project_path(rho={rho})":
             lambda: side.ts.project_path(book, tm, ov, rho, z),
         "std_normal_cdf": lambda: side.cdf(x),
@@ -174,6 +214,7 @@ def stress_stages(side: Side, book, tm, ov, z) -> dict:
         "_step_stack": lambda: side.step_stack(probs, orig),
         "_propagate": lambda: side.propagate(book.weights, steps, buf),
     }
+    return {name: (lambda call=call: call) for name, call in calls.items()}
 
 
 def phi_elements(cases: list[tuple]) -> float:
@@ -185,9 +226,10 @@ def phi_elements(cases: list[tuple]) -> float:
 
 def stage_minima(calls: list[list[dict]], repeat: int) -> list[dict]:
     """Per side, the mean over its inputs of each stage's fastest call, in
-    microseconds.  ``calls[s][c]`` maps each stage to a call on input c of
-    side s; a round calls each stage of each input on every side in turn,
-    in reverse order every other round."""
+    microseconds.  ``calls[s][c]`` maps each stage to a set-up, on input c
+    of side s, that returns the call to time; a round sets up and calls
+    each stage of each input on every side in turn, in reverse order every
+    other round."""
     best = [[dict.fromkeys(per_case, float("inf")) for per_case in side]
             for side in calls]
     sides = list(range(len(calls)))
@@ -197,7 +239,7 @@ def stage_minima(calls: list[list[dict]], repeat: int) -> list[dict]:
         for c, per_case in enumerate(calls[0]):
             for name in per_case:
                 for s in order:
-                    call = calls[s][c][name]
+                    call = calls[s][c][name]()
                     t0 = clock()
                     call()
                     fastest = best[s][c]
@@ -255,8 +297,8 @@ def main(argv=None) -> int:
              from_arrays),
             ("bundled 8-grade data, four books", bundled_raw(), from_texts)):
         print_table(f"{title}, {calls}", stage_minima(
-            [[stages(side, *build(side, *case)) for case in raw]
-             for side in sides], args.repeat))
+            [[stages(side, functools.partial(build, side, *case))
+              for case in raw] for side in sides], args.repeat))
     raw = stress_fan_raw()
     cases = [[from_arrays(side, *case) for case in raw] for side in sides]
     elements = [phi_elements(c) for c in cases]

@@ -143,10 +143,22 @@ def _step_stack(probs: np.ndarray, orig: np.ndarray,
 
 def _step_matrix(tm: TransitionMatrix, orig: np.ndarray) -> np.ndarray:
     """Step matrix of an unstressed period: on the published rates with a
-    balance column when ``tm`` was rounded, on ``tm.probs`` otherwise."""
+    balance column when ``tm`` was rounded, on ``tm.probs`` otherwise.
+
+    ``tm`` keeps the last one built, read-only, keyed by the exact bits of
+    ``orig``: the same origination gets that array back, and other weights,
+    or these weights changed in place, get a new build in its place."""
+    key = orig.tobytes()
+    kept = tm._unstressed_step
+    if kept is not None and kept[0] == key:
+        return kept[1]
     if tm.published is None:
-        return _step_stack(tm.probs, orig)
-    return _step_stack(tm.published, orig, balance=True)
+        step = _step_stack(tm.probs, orig)
+    else:
+        step = _step_stack(tm.published, orig, balance=True)
+    step.flags.writeable = False
+    object.__setattr__(tm, "_unstressed_step", (key, step))
+    return step
 
 
 def _m_p(step: np.ndarray) -> np.ndarray:

@@ -54,10 +54,19 @@ class TransitionMatrix:
     the book rescaled to unit balance after each period; the default
     column, the propagation matrix M_p, the stress transform and every
     emitted matrix use the row-stochastic ``probs``.
+
+    ``_unstressed_step`` keeps the last unstressed step matrix that
+    :func:`~ttcstress.propagation._step_matrix` built, read-only, keyed by
+    the bytes of its origination weights, so the stages of one validation
+    share one build.  It stays valid for the reason the tail layout does:
+    the rates it reads are read-only, and ``published`` is set before any
+    step is built.
     """
 
     probs: np.ndarray
     published: np.ndarray | None = field(default=None, init=False)
+    _unstressed_step: tuple[bytes, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float)
@@ -103,6 +112,15 @@ class TransitionMatrix:
         return std_normal_inv_cdf(values), index.ravel()
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    """Reject a matrix at its first non-finite entry, located by row and
+    column."""
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise InputError("invalid-argument",
+                         f"non-finite entry at row {i + 1}, column {j + 1}")
+
+
 def _check_rates(arr: np.ndarray, tol: float) -> np.ndarray:
     """Reject a would-be transition matrix at its first failed check, in
     this order: square with two grades or more, finite, nonnegative, rows
@@ -115,10 +133,7 @@ def _check_rates(arr: np.ndarray, tol: float) -> np.ndarray:
         raise InputError("shape", "transition matrix must be square")
     if arr.shape[0] < 2:
         raise InputError("shape", "need at least two rating grades")
-    if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise InputError("invalid-argument",
-                         f"non-finite entry at row {i + 1}, column {j + 1}")
+    _check_finite(arr)
     if (arr < 0.0).any():
         i, j = np.argwhere(arr < 0.0)[0]
         raise InputError("negative-entry",

@@ -33,7 +33,7 @@ from . import propagation
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes,
                           _propagate, _step_matrix, average_pd)
-from .transition import TransitionMatrix
+from .transition import TransitionMatrix, _check_finite
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -46,11 +46,13 @@ def is_primitive(block) -> bool:
     positive: its graph (an edge i -> j for each positive entry) is
     strongly connected and aperiodic.  The test runs on that graph, with one
     product of 0/1 entries per breadth-first level, so no numerical under-
-    or overflow is possible.
+    or overflow is possible.  A non-finite entry is an input error, as in
+    a transition matrix: neither NaN nor an infinity is an edge weight.
     """
     arr = np.asarray(block, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise InputError("shape", "primitivity check needs a square matrix")
+    _check_finite(arr)
     if (arr < 0.0).any():
         i, j = np.argwhere(arr < 0.0)[0]
         raise InputError("negative-entry",
@@ -67,7 +69,16 @@ def _primitivity_defect(adj: np.ndarray) -> str | None:
     (Denardo 1977; Jarvis & Shier 1999), and the graph is primitive when
     it is 1.  A grade that keeps mass is a cycle of length 1, so a positive
     diagonal settles the period without the gcd.
+
+    A rating matrix settles the question before any search: when every
+    grade moves one notch up and one notch down with positive probability,
+    the chain of those moves reaches every grade from every other, and one
+    grade that keeps mass makes the graph aperiodic.  Every other graph,
+    and every defect reported, goes through the search.
     """
+    if (np.diagonal(adj, 1).all() and np.diagonal(adj, -1).all()
+            and adj.diagonal().any()):
+        return None
     m = adj.shape[0]
     both = np.zeros((2 * m, 2 * m))
     both[:m, :m] = adj

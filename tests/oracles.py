@@ -25,11 +25,11 @@ def pattern_power(pattern: np.ndarray, exponent: int) -> np.ndarray:
     return acc > 0
 
 
-def wielandt_primitive(block) -> bool:
-    """Wielandt's bound: an m x m nonnegative matrix is primitive if and only
-    if its (m^2 - 2m + 2)-th power is entrywise positive."""
-    arr = np.asarray(block, dtype=float)
-    return bool(pattern_power(arr > 0.0, wielandt_exponent(arr.shape[0])).all())
+def primitive_by_powers(adj: np.ndarray) -> bool:
+    """Wielandt's bound: the graph with the m x m boolean adjacency ``adj``
+    is primitive if and only if its power A^((m - 1)^2 + 1) is entrywise
+    positive."""
+    return bool(pattern_power(adj, wielandt_exponent(adj.shape[0])).all())
 
 
 def stressed_rows_dense(probs: np.ndarray, rho: float,

@@ -424,20 +424,92 @@ def count_step_stacks(monkeypatch) -> list:
     return calls
 
 
+def fresh_matrix8() -> ts.TransitionMatrix:
+    """The bundled matrix, parsed anew: unlike the session's ``matrix8``,
+    it holds no unstressed step yet."""
+    return ts.parse_matrix_csv((DATA / "transition_matrix.csv").read_text())
+
+
 class TestUnstressedStepOnlyWhenUsed:
     """A projection builds the unstressed step matrix only if some period
     is unstressed; the stressed periods share one stack."""
 
     @pytest.mark.parametrize("zero_at, builds", [(None, 1), (7, 2)])
     def test_step_matrices_built(self, zero_at, builds, monkeypatch,
-                                 matrix8, origination8, portfolios):
+                                 origination8, portfolios):
+        tm = fresh_matrix8()
         calls = count_step_stacks(monkeypatch)
         z = np.linspace(-2.0, 1.5, 39)
         assert (z != 0.0).all()
         if zero_at is not None:
             z[zero_at] = 0.0
-        ts.project_path(portfolios["barbell"], matrix8, origination8, 0.2, z)
+        ts.project_path(portfolios["barbell"], tm, origination8, 0.2, z)
         assert len(calls) == builds
+
+
+class TestOneUnstressedStepPerMatrix:
+    """A matrix keeps its last unstressed step, read-only, for the exact
+    bits of the origination it was built with, so a validation builds it
+    once where its stages used to build it three times."""
+
+    def test_validation_builds_one_step(self, monkeypatch, origination8,
+                                        portfolios):
+        tm = fresh_matrix8()
+        calls = count_step_stacks(monkeypatch)
+        ts.run_validation(portfolios["midgrade"], tm, origination8)
+        assert len(calls) == 1
+        ts.project_path(portfolios["barbell"], tm, origination8, 0.0,
+                        np.zeros(20))
+        assert len(calls) == 1
+
+    def test_ttc_solve_builds_one_step(self, monkeypatch, origination8):
+        tm = fresh_matrix8()
+        calls = count_step_stacks(monkeypatch)
+        ts.solve_ttc(tm, origination8)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rounded", [True, False])
+    def test_other_bits_get_a_new_build(self, rounded, monkeypatch,
+                                        origination8):
+        tm = fresh_matrix8() if rounded else ts.TransitionMatrix(
+            fresh_matrix8().probs)
+        rates = tm.probs if tm.published is None else tm.published
+        balance = tm.published is not None
+        first = ts.propagation._step_matrix(tm, origination8.weights)
+        calls = count_step_stacks(monkeypatch)
+        negative_zero = origination8.weights.copy()
+        negative_zero[-1] = -0.0
+        reversed_mix = np.append(origination8.weights[-2::-1], 0.0)
+        for weights in (negative_zero, reversed_mix):
+            orig = ts.OriginationVector(weights)
+            before = len(calls)
+            step = ts.propagation._step_matrix(tm, orig.weights)
+            assert len(calls) == before + 1
+            assert step is not first
+            uncached = ts.propagation._step_stack(rates, orig.weights,
+                                                  balance=balance)
+            assert_same_bits(step, uncached)
+            assert ts.propagation._step_matrix(tm, orig.weights) is step
+            assert len(calls) == before + 2
+
+    def test_weights_changed_in_place_get_a_new_step(self, origination8):
+        tm = fresh_matrix8()
+        orig = ts.OriginationVector(origination8.weights.copy())
+        first = ts.propagation._step_matrix(tm, orig.weights)
+        orig.weights[[0, 1]] = orig.weights[[1, 0]]
+        step = ts.propagation._step_matrix(tm, orig.weights)
+        assert step is not first
+        assert_same_bits(step, ts.propagation._step_stack(
+            tm.published, orig.weights, balance=True))
+        assert not np.array_equal(step, first)
+
+    def test_kept_step_is_read_only(self, origination8, portfolios):
+        tm = fresh_matrix8()
+        ts.run_validation(portfolios["seasoned"], tm, origination8)
+        step = ts.propagation._step_matrix(tm, origination8.weights)
+        assert not step.flags.writeable
+        with pytest.raises(ValueError):
+            step[0, 0] = 0.5
 
 
 def assert_same_bits(x, y) -> None:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import ttcstress as ts
-from ttcstress.errors import PrimitivityError
+from ttcstress.errors import InputError, PrimitivityError
 from ttcstress.ttc import _primitivity_defect
 
-from oracles import pattern_power, wielandt_primitive
+from oracles import pattern_power, primitive_by_powers
 from conftest import counterexample_matrix
 from test_cli import run
 
@@ -52,6 +52,35 @@ def seeded_patterns(count: int):
             yield reducible_pattern(rng, m)
 
 
+def chain(m: int, loops=()) -> np.ndarray:
+    """One-notch chain on m grades: every move one grade up and one grade
+    down, and a self-loop at each grade of ``loops``."""
+    adj = np.eye(m, k=1, dtype=bool) | np.eye(m, k=-1, dtype=bool)
+    adj[list(loops), list(loops)] = True
+    return adj
+
+
+def chain_patterns():
+    """(kind, adjacency) of seeded graphs of every size from 1 to 30:
+    random sparse graphs, one-notch chains with self-loops and extra edges,
+    bare chains, chains with one notch missing, and permutations."""
+    rng = np.random.default_rng(20241024)
+    for m in range(1, 31):
+        for _ in range(4):
+            yield "sparse", rng.random((m, m)) < rng.uniform(0.02, 0.3)
+            loops = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+            adj = chain(m, loops)
+            yield "chain", adj | (rng.random((m, m)) < rng.uniform(0.0, 0.2))
+            yield "chain", chain(m, loops[:1])
+            if m > 1:
+                k = int(rng.integers(0, m - 1))
+                gap = adj.copy()
+                gap[(k, k + 1) if rng.random() < 0.5 else (k + 1, k)] = False
+                yield "one notch missing", gap
+            yield "permutation", np.eye(m, dtype=bool)[rng.permutation(m)]
+        yield "bare chain", chain(m)
+
+
 def closure(adj: np.ndarray) -> np.ndarray:
     """reach[i, j]: j can be reached from i in zero or more steps."""
     m = adj.shape[0]
@@ -86,7 +115,7 @@ class TestGraphPrimitivity:
         for adj in seeded_patterns(3200):
             weighted = adj * np.random.default_rng(adj.size).uniform(0.1, 1.0,
                                                                      adj.shape)
-            expected = wielandt_primitive(adj)
+            expected = primitive_by_powers(adj)
             assert ts.is_primitive(weighted) == expected, adj.astype(int)
             counts[expected] += 1
         assert counts[True] >= 500 and counts[False] >= 2000
@@ -95,7 +124,7 @@ class TestGraphPrimitivity:
         periods = set()
         for adj in seeded_patterns(3200):
             reason = _primitivity_defect(adj)
-            if wielandt_primitive(adj):
+            if primitive_by_powers(adj):
                 assert reason is None
                 continue
             reach = closure(adj)
@@ -119,6 +148,37 @@ class TestGraphPrimitivity:
             assert period > 1 and period == cycle_gcd(adj)
             periods.add(period)
         assert {2, 3} <= periods
+
+    def test_chain_shortcut_agrees_with_wielandt(self):
+        """The one-notch chain settles primitivity before the search; every
+        verdict, and the defect of every graph it does not settle, still
+        agrees with the power oracle."""
+        counts = dict.fromkeys((True, False), 0)
+        for kind, adj in chain_patterns():
+            expected = primitive_by_powers(adj)
+            reason = _primitivity_defect(adj)
+            assert (reason is None) == expected, (kind, adj.astype(int))
+            if kind == "chain":
+                assert expected
+            elif kind == "bare chain":
+                assert reason == ("grade 1 has no transition to itself"
+                                  if adj.shape[0] == 1 else
+                                  "the grades cycle with period 2")
+            elif kind == "one notch missing":
+                assert "unreachable" in reason
+            counts[expected] += 1
+        assert counts[True] >= 200 and counts[False] >= 200
+
+    @pytest.mark.parametrize("bad, at", [(np.nan, (0, 0)), (np.inf, (1, 0)),
+                                         (-np.inf, (1, 1))])
+    def test_non_finite_entry_is_an_input_error(self, bad, at):
+        block = np.array([[0.5, 1.0], [1.0, 0.5]])
+        block[at] = bad
+        with pytest.raises(InputError) as err:
+            ts.is_primitive(block)
+        assert err.value.code == "invalid-argument"
+        assert str(err.value) == (f"non-finite entry at row {at[0] + 1}, "
+                                  f"column {at[1] + 1}")
 
     def test_one_by_one_blocks(self):
         assert ts.is_primitive([[0.5]])
