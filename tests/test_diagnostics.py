@@ -425,8 +425,8 @@ def count_step_stacks(monkeypatch) -> list:
 
 
 def fresh_matrix8() -> ts.TransitionMatrix:
-    """The bundled matrix, parsed anew: unlike the session's ``matrix8``,
-    it holds no unstressed step yet."""
+    """The bundled matrix, parsed anew: unlike the session-scoped
+    ``matrix8`` fixture, it holds no unstressed step yet."""
     return ts.parse_matrix_csv((DATA / "transition_matrix.csv").read_text())
 
 
