@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
-                          _check_sizes, project_path)
+                          _check_sizes, _pd, project_path)
 from .transition import TransitionMatrix
 from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
                   is_primitive, verify_perron_structure)
@@ -110,8 +110,8 @@ def compare_portfolios(current: Portfolio, w_ttc: Portfolio,
         differences=diff,
         l1=float(gaps.sum()),
         linf=float(gaps.max()),
-        current_pd=float(current.weights @ tm.default_column),
-        ttc_pd=float(w_ttc.weights @ tm.default_column),
+        current_pd=float(_pd(current.weights, tm)),
+        ttc_pd=float(_pd(w_ttc.weights, tm)),
     )
 
 

@@ -11,6 +11,7 @@ lagged macro variables then turns any macro scenario into a z path.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,14 +77,24 @@ class MacroScenario:
         return self.values.shape[1]
 
 
+def _check_lag(lag) -> int:
+    """``lag`` as an int; anything but a whole number >= 0 (a Python or
+    numpy integer) is an ``invalid-argument`` error."""
+    if not isinstance(lag, numbers.Integral) or lag < 0:
+        raise InputError("invalid-argument",
+                         f"lag must be an integer >= 0, got {lag}")
+    return int(lag)
+
+
 @dataclass(frozen=True, eq=False)
 class MacroModel:
     """Fitted probit-link regression with the calibrated (p, rho) pair.
 
     ``betas`` (intercept first) must be a finite vector of length two or
-    more, and 0 < p < 1 and 0 <= rho < 1; anything else is an
-    ``invalid-argument`` error, so a model built by hand cannot turn a
-    macro row into a NaN economy state.
+    more, ``lag`` an integer >= 0, and 0 < p < 1 and 0 <= rho < 1; anything
+    else is an ``invalid-argument`` error, so a model built by hand cannot
+    turn a macro row into a NaN economy state or a scenario into a z path
+    of the wrong length.
     """
 
     betas: np.ndarray
@@ -104,6 +115,7 @@ class MacroModel:
             raise InputError("invalid-argument",
                              f"p must lie in (0, 1), got {p!r}")
         object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "lag", _check_lag(self.lag))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rho", _check_rho(self.rho))
 
@@ -179,9 +191,7 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
     below its column count (collinear regressors) is rejected.  The
     calibrated (p, rho) from the full series is stored on the model.
     """
-    lag = int(lag)
-    if lag < 0:
-        raise InputError("invalid-argument", "lag must be >= 0")
+    lag = _check_lag(lag)
     if len(series) != scenario.n_periods:
         raise InputError("dimension-mismatch",
                          f"series has {len(series)} periods, scenario has "

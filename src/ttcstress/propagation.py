@@ -30,8 +30,9 @@ def _check_weights(values, what: str,
     """Reject a would-be grade vector at its first failed check: at least
     two grades, finite, nonnegative, summing to one within ``tol``.  A
     failed sum reads "``what`` sums to s, outside 1 +- tol", and the bound
-    has n ulp of slack, as in :func:`~ttcstress.transition._check_rates`."""
-    arr = np.asarray(values, dtype=float)
+    has n ulp of slack, as in :func:`~ttcstress.transition._check_rates`.
+    Returns a read-only copy, so no later write can skip the checks."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InputError("shape", f"{what} must be a vector of length >= 2")
     if not np.isfinite(arr).all():
@@ -44,6 +45,7 @@ def _check_weights(values, what: str,
     if abs(total - 1.0) > tol + arr.size * _EPS:
         raise InputError("weight-sum",
                          f"{what} sums to {total!r}, outside 1 +- {tol}")
+    arr.flags.writeable = False
     return arr
 
 
@@ -146,8 +148,8 @@ def _step_matrix(tm: TransitionMatrix, orig: np.ndarray) -> np.ndarray:
     balance column when ``tm`` was rounded, on ``tm.probs`` otherwise.
 
     ``tm`` keeps the last one built, read-only, keyed by the exact bits of
-    ``orig``: the same origination gets that array back, and other weights,
-    or these weights changed in place, get a new build in its place."""
+    ``orig``: equal weights get that array back, other weights a new build
+    in its place."""
     key = orig.tobytes()
     kept = tm._unstressed_step
     if kept is not None and kept[0] == key:
@@ -196,22 +198,35 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
     re-originated, so its default weight is exactly zero) and the defaulted
     balance flow of the period.  A matrix with rounded rows moves the book
     under its published rates and rescales the result to unit balance.  The
-    returned book skips the 1e-12 sum check: on rows at that bound its mass
-    drifts past it within a few steps, as in :func:`project_path`.
+    returned book is read-only, as a checked one is, but skips the 1e-12
+    sum check: on rows at that bound its mass drifts past it within a few
+    steps, as in :func:`project_path`.
     """
     _check_sizes(portfolio=portfolio, matrix=tm, origination=origination)
     b = _step_matrix(tm, origination.weights)
     row = np.empty((1, b.shape[1]))
     _propagate(portfolio.weights, (b,), row)
+    row.flags.writeable = False
     book = object.__new__(Portfolio)  # not re-checked, see the docstring
     object.__setattr__(book, "weights", row[0, :tm.n])
     return book, float(row[0, tm.n])
 
 
+def _pd(books: np.ndarray, tm: TransitionMatrix) -> np.ndarray:
+    """Average PD under ``tm``'s default column of one book (n,), as a 0-d
+    value, or of each book of a stack (m, n), as (m,).
+
+    The one place a book becomes a PD: one (1, n) @ (n, 1) product per
+    book, the dot product :func:`numpy.dot` takes of two vectors, so a
+    book's PD does not depend on the books stacked with it."""
+    return (books[..., None, :] @ tm.default_column[:, None])[..., 0, 0]
+
+
 def average_pd(portfolio: Portfolio, tm: TransitionMatrix) -> float:
-    """Balance-weighted one-period default probability of the book."""
+    """Balance-weighted one-period default probability of the book, bit for
+    bit the PD every report and path of the package gives that book."""
     _check_sizes(portfolio=portfolio, matrix=tm)
-    return float(portfolio.weights @ tm.default_column)
+    return float(_pd(portfolio.weights, tm))
 
 
 def project_path(initial: Portfolio, tm: TransitionMatrix,
@@ -228,10 +243,9 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     stack, and the unstressed one only if some period uses it.  When every
     period is stressed that stack is the propagation's input as it is;
     otherwise each period's step is picked from the two.  The recorded
-    average PD uses the unstressed matrix throughout, one book at a time
-    (``einsum``, not a matrix-vector product that BLAS may round
-    differently for another number of rows), so a period's PD does not
-    depend on the horizon.
+    average PDs, ``initial_pd`` included, use the unstressed matrix
+    throughout and are bit for bit :func:`average_pd` of each book, so a
+    period's PD does not depend on the horizon.
     """
     z_arr = np.array(z_path, dtype=float)
     if z_arr.ndim != 1 or z_arr.size == 0:
@@ -253,14 +267,18 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
             stack = _step_stack(_stressed_probs(tm, rho, z_arr[stressed_at]), orig)
             for t, b in zip(np.flatnonzero(stressed_at), stack):
                 steps[t] = b
-    # the unstressed step, when built, is the widest (a balance column)
-    buf = np.empty((m, (stack if unstressed is None else unstressed).shape[-1]))
-    states = _propagate(initial.weights, steps, buf)
+    # row 0 holds the initial book; the unstressed step, when built, is the
+    # widest (a balance column)
+    buf = np.empty((m + 1,
+                    (stack if unstressed is None else unstressed).shape[-1]))
+    buf[0, :n] = initial.weights
+    _propagate(buf[0, :n], steps, buf[1:])
+    pds = _pd(buf[:, :n], tm)
     return ProjectionPath(
         initial=initial,
-        initial_pd=float(initial.weights @ tm.default_column),
+        initial_pd=float(pds[0]),
         z=z_arr,
-        portfolios=states,
-        default_flows=buf[:, n],
-        avg_pds=np.einsum("ij,j->i", states, tm.default_column),
+        portfolios=buf[1:, :n],
+        default_flows=buf[1:, n],
+        avg_pds=pds[1:],
     )

@@ -31,7 +31,7 @@ import numpy as np
 # the _step_matrix imported below is the loop's alone, for a patch to catch.
 from . import propagation
 from .errors import ConvergenceError, InputError, PrimitivityError
-from .propagation import (OriginationVector, Portfolio, _check_sizes,
+from .propagation import (OriginationVector, Portfolio, _check_sizes, _pd,
                           _propagate, _step_matrix, average_pd)
 from .transition import TransitionMatrix, _check_finite
 
@@ -171,7 +171,7 @@ def _ttc_result(tm: TransitionMatrix, origination: OriginationVector,
         w_ttc=w_ttc,
         iterations=0,
         final_step_delta=float(np.abs(stepped - full).sum()),
-        ttc_pd=float(full @ tm.default_column),
+        ttc_pd=float(_pd(full, tm)),
         spectral_gap_estimate=perron.lambda2,
     )
 

@@ -492,16 +492,21 @@ class TestOneUnstressedStepPerMatrix:
             assert ts.propagation._step_matrix(tm, orig.weights) is step
             assert len(calls) == before + 2
 
-    def test_weights_changed_in_place_get_a_new_step(self, origination8):
+    def test_weights_cannot_change_under_the_kept_step(self, origination8):
+        """The vector holds a read-only copy of its weights: a write through
+        it raises, and a write into the caller's array reaches neither the
+        weights nor the step kept for them."""
         tm = fresh_matrix8()
-        orig = ts.OriginationVector(origination8.weights.copy())
+        source = origination8.weights.copy()
+        orig = ts.OriginationVector(source)
         first = ts.propagation._step_matrix(tm, orig.weights)
-        orig.weights[[0, 1]] = orig.weights[[1, 0]]
-        step = ts.propagation._step_matrix(tm, orig.weights)
-        assert step is not first
-        assert_same_bits(step, ts.propagation._step_stack(
-            tm.published, orig.weights, balance=True))
-        assert not np.array_equal(step, first)
+        kept = first.copy()
+        with pytest.raises(ValueError):
+            orig.weights[[0, 1]] = orig.weights[[1, 0]]
+        source[[0, 1]] = source[[1, 0]]
+        assert_same_bits(orig.weights, origination8.weights)
+        assert ts.propagation._step_matrix(tm, orig.weights) is first
+        assert_same_bits(first, kept)
 
     def test_kept_step_is_read_only(self, origination8, portfolios):
         tm = fresh_matrix8()

@@ -63,11 +63,31 @@ class TestStepKernel:
             assert np.abs(np.diff(mass, prepend=start)).max() <= 1e-15
 
     def test_pds_use_the_unstressed_default_column(self):
+        """Every PD of a book is bit for bit ``average_pd`` of it: as period
+        t of a path, as period 0 of a path started from it, and as the TTC
+        PD of a validation's TTC result and of its divergence report."""
         for tm, orig, book, rho, z in seeded_cases(20):
             path = ts.project_path(book, tm, orig, rho, z)
             for t in range(z.size):
                 pd = ts.average_pd(ts.Portfolio(path.portfolios[t]), tm)
-                assert abs(path.avg_pds[t] - pd) <= 1e-16
+                assert path.avg_pds[t] == pd
+        rng = np.random.default_rng(2525)
+        for n in (3, 8, 21, 50, 200):
+            for make in (random_system, rounded_system):
+                tm, orig = make(rng, n)
+                for i in range(4):
+                    book = random_portfolio(rng, n, performing_only=i % 2 == 0)
+                    for rho, z in ((0.0, np.zeros(60)),
+                                   (0.2, rng.normal(0.0, 1.5, 60))):
+                        path = ts.project_path(book, tm, orig, rho, z)
+                        for t in range(z.size):
+                            start = ts.Portfolio(path.portfolios[t])
+                            one = ts.project_path(start, tm, orig, 0.0, [0.0])
+                            assert one.initial_pd == path.avg_pds[t]
+                            assert ts.average_pd(start, tm) == path.avg_pds[t]
+                report = ts.run_validation(book, tm, orig)
+                assert report.divergence.ttc_pd == report.ttc.ttc_pd
+                assert report.divergence.current_pd == report.path.initial_pd
 
 
 class TestStepwiseBitIdentity:

@@ -306,6 +306,12 @@ class TestSeriesValidation:
         with pytest.raises(InputError):
             ts.fit_macro_model(series, scenario, lag=-1)
 
+    def test_fractional_lag_rejected(self):
+        series, scenario = _exact_linear_inputs(lag=1)
+        with pytest.raises(InputError) as err:
+            ts.fit_macro_model(series, scenario, lag=1.5)
+        assert err.value.code == "invalid-argument"
+
 
 class TestModelValidation:
     """A hand-built MacroModel checks its parameters, so that no economy
@@ -329,6 +335,22 @@ class TestModelValidation:
         with pytest.raises(InputError) as err:
             self._model(**changes)
         assert err.value.code == "invalid-argument"
+
+    @pytest.mark.parametrize("lag", [-1, 1.5, 1.0, "1", None])
+    def test_lag_must_be_a_whole_number_at_least_zero(self, lag):
+        """A negative lag would give economy_state_path more z values than
+        the n_periods - lag it promises, and a fractional one a bare
+        TypeError from slicing."""
+        with pytest.raises(InputError) as err:
+            self._model(lag=lag)
+        assert err.value.code == "invalid-argument"
+        assert "lag must be an integer >= 0" in str(err.value)
+
+    def test_numpy_integer_lag_becomes_an_int(self):
+        model = self._model(lag=np.int64(2))
+        assert type(model.lag) is int and model.lag == 2
+        scenario = ts.MacroScenario(np.ones((5, 1)), names=("x",))
+        assert ts.economy_state_path(model, scenario).size == 3
 
     def test_list_betas_become_a_float_array(self):
         model = self._model(betas=[0, 1])

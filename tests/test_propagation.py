@@ -244,7 +244,7 @@ class TestProjectPath:
         assert series[0] == ts.average_pd(start, matrix8)
         assert path.initial is start
         pd3 = ts.average_pd(ts.Portfolio(path.portfolios[2]), matrix8)
-        assert abs(series[3] - pd3) <= 1e-16
+        assert series[3] == pd3
 
     def test_empty_z_path_rejected(self, matrix8, origination8, portfolios):
         with pytest.raises(InputError):
