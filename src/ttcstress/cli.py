@@ -147,7 +147,7 @@ def _add_common(p, kinds, band=False):
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError("missing-file", f"cannot read {path}: {exc}") from exc
 

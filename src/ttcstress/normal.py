@@ -1,15 +1,77 @@
 """Standard normal distribution functions used by every probability transform.
 
 Only the CDF / quantile pair is exposed; both accept scalars or numpy arrays
-and return matching shapes.  SciPy is imported on first use, so a process
-that never evaluates either function (``validate``, ``ttc``, ``diagnose``)
-does not load it.
+and return matching shapes.  They are SciPy's compiled ``ndtr`` and
+``ndtri`` ufuncs, loaded on first use, so a process that never evaluates
+either function (``validate``, ``ttc``, ``diagnose``) does not load SciPy.
+
+The first use loads ``scipy`` and the extension module
+``scipy.special._ufuncs`` alone, not the ``scipy.special`` package: the
+package's ``__init__`` also imports its array-API layer (and with it
+``numpy.f2py`` and ``numpy.testing``), which took more than half the wall
+time of a stressed command.  A later ``import scipy.special`` hands back
+the very same ufuncs.  Where ``scipy.special`` is already loaded, or the
+extension module cannot be loaded alone, the ufuncs come from the package.
 """
 from __future__ import annotations
+
+import _imp
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
 from .errors import InputError
+
+_ufuncs = None  # (ndtr, ndtri), once loaded
+
+
+def _load_ufuncs():
+    """The ``scipy.special._ufuncs`` module, loaded under a bare
+    ``scipy.special`` package stub, or the package itself if it is in
+    ``sys.modules`` already.
+
+    The stub stands in ``sys.modules`` only while this holds the global
+    import lock, and marks itself as initializing, so an import of
+    ``scipy.special`` in another thread waits for the lock and then loads
+    the real package.  The extension modules loaded stay in
+    ``sys.modules``, where the package's own import finds them: a Cython
+    module cannot be loaded twice."""
+    import scipy
+    _imp.acquire_lock()
+    try:
+        loaded = sys.modules.get("scipy.special")
+        if loaded is not None:
+            return loaded
+        spec = importlib.util.spec_from_loader("scipy.special", None,
+                                               is_package=True)
+        spec.submodule_search_locations = [
+            os.path.join(os.path.dirname(scipy.__file__), "special")]
+        stub = importlib.util.module_from_spec(spec)
+        spec._initializing = True
+        sys.modules["scipy.special"] = stub
+        try:
+            return importlib.import_module("scipy.special._ufuncs")
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+    finally:
+        _imp.release_lock()
+
+
+def _phi_ufuncs():
+    """SciPy's ``(ndtr, ndtri)``, resolved once per process."""
+    global _ufuncs
+    if _ufuncs is None:
+        try:
+            module = _load_ufuncs()
+            pair = module.ndtr, module.ndtri
+        except (ImportError, AttributeError):
+            from scipy.special import ndtr, ndtri
+            pair = ndtr, ndtri
+        _ufuncs = pair
+    return _ufuncs
 
 
 def std_normal_cdf(x):
@@ -17,7 +79,7 @@ def std_normal_cdf(x):
 
     Accepts floats (including +-inf) or arrays; NaN is rejected.
     """
-    from scipy.special import ndtr
+    ndtr = _phi_ufuncs()[0]
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise InputError("invalid-argument", "std_normal_cdf: NaN input")
@@ -31,7 +93,7 @@ def std_normal_inv_cdf(p):
     Computed by SciPy's ``ndtri``, within about 4.4e-16 relative error of
     the exact quantile for p from 1e-300 to 1 - 1e-15.
     """
-    from scipy.special import ndtri
+    ndtri = _phi_ufuncs()[1]
     arr = np.asarray(p, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise InputError("invalid-argument",

@@ -753,22 +753,33 @@ class TestTtcDirectSolve:
         assert np.abs(np.array(json.loads(out)["w_ttc"]) - oracle).max() <= 1e-10
 
 
-def assert_no_scipy(argv: list[str], code: int) -> None:
-    """Run ``cli_dispatch(argv)`` in a fresh interpreter; it must return
-    ``code`` without importing scipy."""
-    script = (
-        "import contextlib, io, sys\n"
-        "import ttcstress\n"
-        "from ttcstress.cli import cli_dispatch\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli_dispatch({argv!r})\n"
-        f"assert code == {code}, code\n"
-        "assert 'scipy' not in sys.modules\n")
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this package;
+    it must exit 0.  Returns its stdout."""
     src = str(Path(ts.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def dispatch_quietly(argv: list[str], code: int) -> str:
+    """Script lines that run ``cli_dispatch(argv)`` with stdout captured
+    and assert that it returns ``code``."""
+    return ("import contextlib, io, sys\n"
+            "import ttcstress\n"
+            "from ttcstress.cli import cli_dispatch\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli_dispatch({argv!r})\n"
+            f"assert code == {code}, code\n")
+
+
+def assert_no_scipy(argv: list[str], code: int) -> None:
+    """Run ``cli_dispatch(argv)`` in a fresh interpreter; it must return
+    ``code`` without importing scipy."""
+    run_fresh(dispatch_quietly(argv, code)
+              + "assert 'scipy' not in sys.modules\n")
 
 
 class TestLazyScipy:
@@ -779,6 +790,95 @@ class TestLazyScipy:
     def test_ttc_does_not_load_scipy(self):
         assert_no_scipy(["ttc", "--matrix", MATRIX, "--origination",
                          ORIGINATION], code=0)
+
+
+# Phi and Phi^-1 of a seeded array, as the hex of their bytes
+PHI_BYTES = (
+    "import numpy as np\n"
+    "x = np.random.default_rng(26).normal(scale=4.0, size=4096)\n"
+    "p = np.random.default_rng(27).random(4096)\n"
+    "print(ttcstress.std_normal_cdf(x).tobytes().hex())\n"
+    "print(ttcstress.std_normal_inv_cdf(p).tobytes().hex())\n")
+
+
+class TestPhiUfuncLoader:
+    """Phi takes SciPy's compiled ufuncs without importing the
+    ``scipy.special`` package, under a stub that no one else sees."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["stress-matrix", "--matrix", MATRIX, "--rho", "0.2", "--z", "-1"], 0),
+        (["propagate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
+          "--origination", ORIGINATION, "--z", "-1", "--rho", "0.2"], 1),
+        (["fit-macro", "--scenario", SCENARIO, "--lag", "1"], 0),
+    ], ids=["stress-matrix", "propagate-stressed", "fit-macro"])
+    def test_stressed_commands_load_only_the_ufuncs(self, argv, code):
+        run_fresh(dispatch_quietly(argv, code)
+                  + "assert 'scipy.special._ufuncs' in sys.modules\n"
+                  "assert 'scipy.special' not in sys.modules\n")
+
+    def test_package_imported_later_has_the_same_ufuncs(self):
+        run_fresh(
+            "import sys\n"
+            "import ttcstress\n"
+            "from ttcstress import normal\n"
+            "ttcstress.std_normal_cdf(0.0)\n"
+            "ndtr, ndtri = normal._ufuncs\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+            "import scipy.special\n"
+            "assert scipy.special.__file__.endswith('__init__.py')\n"
+            "assert scipy.special.ndtr is ndtr\n"
+            "assert scipy.special.ndtri is ndtri\n"
+            "assert scipy.special._ufuncs is ufuncs\n")
+
+    def test_fallback_to_the_package_gives_the_same_bits(self):
+        fallback = run_fresh(
+            "import importlib, sys\n"
+            "import ttcstress\n"
+            "real = importlib.import_module\n"
+            "def refuse(name, *args):\n"
+            "    if name == 'scipy.special._ufuncs':\n"
+            "        raise ImportError(name)\n"
+            "    return real(name, *args)\n"
+            "importlib.import_module = refuse\n"
+            + PHI_BYTES +
+            "assert sys.modules['scipy.special'].__file__.endswith("
+            "'__init__.py')\n")
+        stubbed = run_fresh("import sys\nimport ttcstress\n" + PHI_BYTES
+                            + "assert 'scipy.special' not in sys.modules\n")
+        assert fallback == stubbed
+        assert len(fallback) == 2 * (2 * 8 * 4096 + 1)
+
+    def test_stub_is_seen_only_under_the_import_lock(self):
+        # another thread that imports scipy.special inside the stub window
+        # waits for the lock, then gets the real package
+        run_fresh(
+            "import _imp, importlib, sys, threading\n"
+            "import ttcstress\n"
+            "from ttcstress import normal\n"
+            "real = importlib.import_module\n"
+            "seen = {}\n"
+            "def other():\n"
+            "    seen['module'] = real('scipy.special')\n"
+            "def spy(name, *args):\n"
+            "    if 'thread' not in seen:\n"
+            "        seen['held'] = _imp.lock_held()\n"
+            "        seen['stub'] = sys.modules['scipy.special']\n"
+            "        seen['thread'] = threading.Thread(target=other)\n"
+            "        seen['thread'].start()\n"
+            "        seen['thread'].join(0.3)\n"
+            "        seen['waited'] = seen['thread'].is_alive()\n"
+            "    return real(name, *args)\n"
+            "importlib.import_module = spy\n"
+            "ndtr, ndtri = normal._phi_ufuncs()\n"
+            "importlib.import_module = real\n"
+            "assert seen['held'] and seen['waited']\n"
+            "assert getattr(seen['stub'], '__file__', None) is None\n"
+            "seen['thread'].join(30)\n"
+            "assert not seen['thread'].is_alive()\n"
+            "assert seen['module'] is sys.modules['scipy.special']\n"
+            "assert seen['module'].ndtr is ndtr\n"
+            "assert seen['module'].ndtri is ndtri\n")
 
 
 def tree(root: Path) -> dict:
@@ -1005,3 +1105,56 @@ class TestLazyEmission:
         assert tuple(len(built[k]) for k in ("csv", "svg", "json")) == calls
         if fmt in ("csv", "svg", "json"):
             assert out == built[fmt][0]
+
+
+# every bundled input, read by path from a directory that holds them all
+_DATA_BOOK = ["--matrix", "data/transition_matrix.csv", "--origination",
+              "data/origination.csv"]
+READS_EVERY_INPUT = [
+    *(["validate", *_DATA_BOOK, "--portfolio", f"data/portfolio_{name}.csv",
+       "--out-dir", f"validated_{name}"]
+      for name in ("midgrade", "barbell", "seasoned", "speculative_tilt")),
+    ["ttc", *_DATA_BOOK, "--format", "json"],
+    ["propagate", *_DATA_BOOK, "--portfolio", "data/portfolio_barbell.csv",
+     "--z", "-1", "--rho", "0.2", "--out-dir", "stressed"],
+    ["propagate", *_DATA_BOOK, "--portfolio", "data/portfolio_midgrade.csv",
+     "--scenario", "data/scenario.csv", "--lag", "1", "--rho", "0.05",
+     "--out-dir", "scenario"],
+    ["stress-matrix", "--matrix", "data/transition_matrix.csv", "--rho",
+     "0.2", "--z", "-1"],
+    ["fit-macro", "--scenario", "data/scenario.csv", "--lag", "1"],
+    ["diagnose", "--path", "data/path.csv"],
+]
+
+
+class TestByteOrderMark:
+    """An input saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8")
+    reads as the same file without one."""
+
+    def test_inputs_with_a_bom_give_the_same_runs(self, tmp_path,
+                                                  monkeypatch, capsys):
+        inputs = {f"data/{p.name}": p.read_bytes() for p in DATA.iterdir()}
+        assert len(inputs) == 7
+        code, path_csv, _ = run(
+            "propagate", "--matrix", MATRIX, "--portfolio", SEASONED,
+            "--origination", ORIGINATION, "--format", "csv", capsys=capsys)
+        assert code == 0
+        inputs["data/path.csv"] = path_csv.encode()
+        runs = {}
+        for side, prefix in (("plain", b""), ("bom", "\ufeff".encode())):
+            root = tmp_path / side
+            (root / "data").mkdir(parents=True)
+            for name, data in inputs.items():
+                (root / name).write_bytes(prefix + data)
+            monkeypatch.chdir(root)
+            got = [run(*argv, capsys=capsys) for argv in READS_EVERY_INPUT]
+            for name in inputs:
+                (root / name).unlink()
+            runs[side] = got, tree(root)
+        (plain, plain_files), (bom, bom_files) = runs["plain"], runs["bom"]
+        for argv, a, b in zip(READS_EVERY_INPUT, plain, bom):
+            assert a == b, argv
+        assert [code for code, _, _ in plain] == [1, 1, 0, 1, 0, 1, 1, 0, 0,
+                                                  0]
+        assert plain_files == bom_files
+        assert len(plain_files) == 4 * 3 + 2 * 3

@@ -550,3 +550,55 @@ class TestValidationMatchesItsStages:
         assert_same_bits(report.spurious, spurious)
         assert report.verdict == ("pass" if not spurious.spurious
                                   else f"warn: {spurious.classification}")
+
+
+def result_arrays(matrix8, origination8, portfolios):
+    """(name, array) of every array a result record holds, on the bundled
+    data: paths unstressed, stressed everywhere and stressed in part, a
+    validation report and a path read back from its CSV."""
+    book = portfolios["barbell"]
+    report = ts.run_validation(book, matrix8, origination8)
+    paths = {
+        "unstressed": report.path,
+        "stressed": ts.project_path(book, matrix8, origination8, 0.2,
+                                    np.full(12, -1.0)),
+        "mixed": ts.project_path(book, matrix8, origination8, 0.2,
+                                 [0.0, -1.0, 0.0, 1.5]),
+        "parsed": ts.parse_path_csv(ts.emit_path_csv(report.path)),
+    }
+    arrays = [(f"{kind}.{field}", getattr(path, field))
+              for kind, path in paths.items()
+              for field in ("z", "portfolios", "default_flows", "avg_pds")]
+    arrays += [("divergence.differences", report.divergence.differences),
+               ("spurious.pd_path", report.spurious.pd_path),
+               ("perron.fixed_vector", report.perron.fixed_vector),
+               ("classify_pd_path.pd_path",
+                ts.classify_pd_path(np.array([0.02, 0.03, 0.01])).pd_path)]
+    return arrays
+
+
+class TestResultArraysAreReadOnly:
+    def test_every_write_raises(self, matrix8, origination8, portfolios):
+        arrays = result_arrays(matrix8, origination8, portfolios)
+        assert len(arrays) == 20
+        for name, arr in arrays:
+            before = arr.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+            assert arr.tobytes() == before.tobytes(), name
+
+    def test_portfolio_row_cannot_change_under_its_pd(self, matrix8,
+                                                      origination8,
+                                                      portfolios):
+        path = ts.project_path(portfolios["midgrade"], matrix8, origination8,
+                               0.0, np.zeros(5))
+        with pytest.raises(ValueError):
+            path.portfolios[0] = np.eye(8)[6]
+        assert path.avg_pds[0] == ts.average_pd(
+            ts.Portfolio(path.portfolios[0]), matrix8)
+
+    def test_classify_leaves_the_callers_array_writable(self):
+        pds = np.array([0.02, 0.03, 0.01])
+        report = ts.classify_pd_path(pds)
+        assert pds.flags.writeable and not report.pd_path.flags.writeable
+        pds[0] = 0.5
