@@ -32,7 +32,8 @@ _CLASSES = {(False, False): CLASS_MONOTONE, (True, False): CLASS_RECESSION,
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Per-grade gap between the current book and the TTC portfolio."""
+    """Per-grade gap between the current book and the TTC portfolio;
+    ``differences`` is read-only."""
 
     differences: np.ndarray
     l1: float
@@ -45,10 +46,10 @@ class DivergenceReport:
 class SpuriousReport:
     """Classification of an average-PD path from a zero-stress projection.
 
-    ``pd_path`` holds a_0..a_m including the initial portfolio's PD; the
-    terminal value is the convergence proxy.  An excursion counts as
-    spurious when it clears both endpoints by more than ``band`` times the
-    terminal PD.
+    ``pd_path`` holds a_0..a_m including the initial portfolio's PD,
+    read-only; the terminal value is the convergence proxy.  An excursion
+    counts as spurious when it clears both endpoints by more than ``band``
+    times the terminal PD.
     """
 
     pd_path: np.ndarray
@@ -105,7 +106,7 @@ def compare_portfolios(current: Portfolio, w_ttc: Portfolio,
     """Componentwise differences and norms, with both average PDs."""
     _check_sizes(current=current, ttc=w_ttc, matrix=tm)
     diff = current.weights - w_ttc.weights
-    diff.flags.writeable = False
+    diff.setflags(write=False)
     gaps = np.abs(diff)
     return DivergenceReport(
         differences=diff,
@@ -127,7 +128,7 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND) -> SpuriousReport:
     deviations |a_t - a_m| are truly non-increasing).
     """
     arr = np.asarray(pds, dtype=float).view()  # read-only below, not pds
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     if arr.ndim != 1 or arr.size < 2:
         raise InputError("too-short", "need at least two PD observations")
     if not np.isfinite(arr).all():

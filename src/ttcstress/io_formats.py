@@ -168,9 +168,10 @@ def emit_path_csv(path: ProjectionPath) -> str:
 
 
 def parse_path_csv(text: str) -> ProjectionPath:
-    """Parse a file produced by :func:`emit_path_csv` back into its path.
-    The periods must read exactly 0, 1, ..., m, so an older file, which
-    has no period-0 row, is rejected."""
+    """Parse a file produced by :func:`emit_path_csv` back into its path,
+    with read-only arrays, as :func:`project_path` gives.  The periods
+    must read exactly 0, 1, ..., m, so an older file, which has no
+    period-0 row, is rejected."""
     rows = _read_rows(text)
     header = rows[0]
     if tuple(header[:4]) != PATH_HEADER_FIXED:
@@ -188,7 +189,7 @@ def parse_path_csv(text: str) -> ProjectionPath:
                          "path file periods must read 0, 1, ..., m from the "
                          "initial book on; re-run propagate to write it")
     arr = _float_rows(body, len(header), 2)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return ProjectionPath(
         initial=Portfolio(arr[0, 4:]), initial_pd=float(arr[0, 2]),
         z=arr[1:, 1], portfolios=arr[1:, 4:], default_flows=arr[1:, 3],

@@ -101,6 +101,7 @@ class ProjectionPath:
     t = 1..m.  Average PDs are measured against the unstressed matrix so the
     path isolates the rating-mix dynamics from any applied stress; the
     realized stressed default flow per period is reported separately.
+    The arrays are read-only, so no book can change under its PD.
     """
 
     initial: Portfolio
@@ -275,7 +276,7 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     _propagate(buf[0, :n], steps, buf[1:])
     pds = _pd(buf[:, :n], tm)
     for arr in (z_arr, buf, pds):  # the record's arrays are views of these
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return ProjectionPath(
         initial=initial,
         initial_pd=float(pds[0]),

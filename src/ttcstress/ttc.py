@@ -276,8 +276,8 @@ def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
 class PerronReport:
     """Structural checks behind existence and convergence of the TTC portfolio.
 
-    ``fixed_vector`` (the TTC portfolio on the performing grades, unit mass;
-    None if the bordered system is singular), its fixed-point ``residual``,
+    ``fixed_vector`` (the TTC portfolio on the performing grades, unit mass,
+    read-only; None if the bordered system is singular), its fixed-point ``residual``,
     ``root`` and ``lambda2`` all come from one ``eigvals`` and one bordered
     solve of the M_p of the unstressed propagation step: the transposed
     performing block of its step matrix, on the published rates for a
@@ -317,7 +317,7 @@ def verify_perron_structure(tm: TransitionMatrix,
     w = _solve_unit_eigenvector(m_p, 1.0 if tm.published is None else root)
     residual = float("inf")
     if w is not None:
-        w.flags.writeable = False
+        w.setflags(write=False)
         stepped = m_p @ w
         residual = float(np.abs(stepped / stepped.sum() - w).max())
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0
