@@ -277,11 +277,11 @@ class PerronReport:
     """Structural checks behind existence and convergence of the TTC portfolio.
 
     ``fixed_vector`` (the TTC portfolio on the performing grades, unit mass,
-    read-only; None if the bordered system is singular), its fixed-point ``residual``,
-    ``root`` and ``lambda2`` all come from one ``eigvals`` and one bordered
-    solve of the M_p of the unstressed propagation step: the transposed
-    performing block of its step matrix, on the published rates for a
-    matrix with rounded rows.  Its mass is not checked again after
+    read-only; None if the bordered system is singular), its fixed-point
+    ``residual``, ``root`` and ``lambda2`` all come from one ``eigvals`` and
+    one bordered solve of the M_p of the unstressed propagation step: the
+    transposed performing block of its step matrix, on the published rates
+    for a matrix with rounded rows.  Its mass is not checked again after
     arithmetic: ``root`` states what a step keeps of it.
     """
 

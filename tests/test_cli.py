@@ -806,7 +806,8 @@ class TestPhiUfuncLoader:
     ``scipy.special`` package, under a stub that no one else sees."""
 
     @pytest.mark.parametrize("argv, code", [
-        (["stress-matrix", "--matrix", MATRIX, "--rho", "0.2", "--z", "-1"], 0),
+        (["stress-matrix", "--matrix", MATRIX, "--rho", "0.2", "--z", "-1"],
+         0),
         (["propagate", "--matrix", MATRIX, "--portfolio", MIDGRADE,
           "--origination", ORIGINATION, "--z", "-1", "--rho", "0.2"], 1),
         (["fit-macro", "--scenario", SCENARIO, "--lag", "1"], 0),
