@@ -587,16 +587,6 @@ class TestResultArraysAreReadOnly:
                 arr[0] = 0.5
             assert arr.tobytes() == before.tobytes(), name
 
-    def test_portfolio_row_cannot_change_under_its_pd(self, matrix8,
-                                                      origination8,
-                                                      portfolios):
-        path = ts.project_path(portfolios["midgrade"], matrix8, origination8,
-                               0.0, np.zeros(5))
-        with pytest.raises(ValueError):
-            path.portfolios[0] = np.eye(8)[6]
-        assert path.avg_pds[0] == ts.average_pd(
-            ts.Portfolio(path.portfolios[0]), matrix8)
-
     def test_classify_leaves_the_callers_array_writable(self):
         pds = np.array([0.02, 0.03, 0.01])
         report = ts.classify_pd_path(pds)
