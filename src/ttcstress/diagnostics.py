@@ -106,7 +106,7 @@ def compare_portfolios(current: Portfolio, w_ttc: Portfolio,
     """Componentwise differences and norms, with both average PDs."""
     _check_sizes(current=current, ttc=w_ttc, matrix=tm)
     diff = current.weights - w_ttc.weights
-    diff.setflags(write=False)
+    diff.flags.writeable = False
     gaps = np.abs(diff)
     return DivergenceReport(
         differences=diff,
@@ -127,8 +127,8 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND) -> SpuriousReport:
     monotone-convergent (the report separately records whether the
     deviations |a_t - a_m| are truly non-increasing).
     """
-    arr = np.asarray(pds, dtype=float).view()  # read-only below, not pds
-    arr.setflags(write=False)
+    arr = np.array(pds, dtype=float)  # a copy: the caller may write to pds
+    arr.flags.writeable = False
     if arr.ndim != 1 or arr.size < 2:
         raise InputError("too-short", "need at least two PD observations")
     if not np.isfinite(arr).all():

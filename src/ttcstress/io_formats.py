@@ -189,7 +189,7 @@ def parse_path_csv(text: str) -> ProjectionPath:
                          "path file periods must read 0, 1, ..., m from the "
                          "initial book on; re-run propagate to write it")
     arr = _float_rows(body, len(header), 2)
-    arr.setflags(write=False)
+    arr.flags.writeable = False
     return ProjectionPath(
         initial=Portfolio(arr[0, 4:]), initial_pd=float(arr[0, 2]),
         z=arr[1:, 1], portfolios=arr[1:, 4:], default_flows=arr[1:, 3],

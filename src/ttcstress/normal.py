@@ -10,15 +10,17 @@ The first use loads ``scipy`` and the extension module
 package's ``__init__`` also imports its array-API layer (and with it
 ``numpy.f2py`` and ``numpy.testing``), which took more than half the wall
 time of a stressed command.  A later ``import scipy.special`` hands back
-the very same ufuncs.  Where ``scipy.special`` is already loaded, or the
-extension module cannot be loaded alone, the ufuncs come from the package.
+the very same ufuncs.  Where ``scipy.special`` is already loaded, another
+thread is running (it could see the package stub the load puts in
+``sys.modules``), or the extension module cannot be loaded alone, the
+ufuncs come from the package.
 """
 from __future__ import annotations
 
-import _imp
 import importlib.util
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -30,34 +32,29 @@ _ufuncs = None  # (ndtr, ndtri), once loaded
 def _load_ufuncs():
     """The ``scipy.special._ufuncs`` module, loaded under a bare
     ``scipy.special`` package stub, or the package itself if it is in
-    ``sys.modules`` already.
+    ``sys.modules`` already or another thread is running.
 
-    The stub stands in ``sys.modules`` only while this holds the global
-    import lock, and marks itself as initializing, so an import of
-    ``scipy.special`` in another thread waits for the lock and then loads
-    the real package.  The extension modules loaded stay in
-    ``sys.modules``, where the package's own import finds them: a Cython
-    module cannot be loaded twice."""
+    The stub stands in ``sys.modules`` only while this loads the extension
+    module, and only when no other thread runs, so no one else can see it:
+    an ``import scipy.special`` elsewhere could otherwise be handed the
+    stub.  The extension modules loaded stay in ``sys.modules``, where the
+    package's own import finds them: a Cython module cannot be loaded
+    twice."""
+    if "scipy.special" in sys.modules or threading.active_count() > 1:
+        import scipy.special
+        return scipy.special
     import scipy
-    _imp.acquire_lock()
+    spec = importlib.util.spec_from_loader("scipy.special", None,
+                                           is_package=True)
+    spec.submodule_search_locations = [
+        os.path.join(os.path.dirname(scipy.__file__), "special")]
+    stub = importlib.util.module_from_spec(spec)
+    sys.modules["scipy.special"] = stub
     try:
-        loaded = sys.modules.get("scipy.special")
-        if loaded is not None:
-            return loaded
-        spec = importlib.util.spec_from_loader("scipy.special", None,
-                                               is_package=True)
-        spec.submodule_search_locations = [
-            os.path.join(os.path.dirname(scipy.__file__), "special")]
-        stub = importlib.util.module_from_spec(spec)
-        spec._initializing = True
-        sys.modules["scipy.special"] = stub
-        try:
-            return importlib.import_module("scipy.special._ufuncs")
-        finally:
-            if sys.modules.get("scipy.special") is stub:
-                del sys.modules["scipy.special"]
+        return importlib.import_module("scipy.special._ufuncs")
     finally:
-        _imp.release_lock()
+        if sys.modules.get("scipy.special") is stub:
+            del sys.modules["scipy.special"]
 
 
 def _phi_ufuncs():

@@ -276,7 +276,7 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     _propagate(buf[0, :n], steps, buf[1:])
     pds = _pd(buf[:, :n], tm)
     for arr in (z_arr, buf, pds):  # the record's arrays are views of these
-        arr.setflags(write=False)
+        arr.flags.writeable = False
     return ProjectionPath(
         initial=initial,
         initial_pd=float(pds[0]),

@@ -317,7 +317,7 @@ def verify_perron_structure(tm: TransitionMatrix,
     w = _solve_unit_eigenvector(m_p, 1.0 if tm.published is None else root)
     residual = float("inf")
     if w is not None:
-        w.setflags(write=False)
+        w.flags.writeable = False
         stepped = m_p @ w
         residual = float(np.abs(stepped / stepped.sum() - w).max())
     lam2 = float(moduli[-2]) if moduli.size > 1 else 0.0

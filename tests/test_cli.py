@@ -803,7 +803,7 @@ PHI_BYTES = (
 
 class TestPhiUfuncLoader:
     """Phi takes SciPy's compiled ufuncs without importing the
-    ``scipy.special`` package, under a stub that no one else sees."""
+    ``scipy.special`` package, under a stub that no other thread sees."""
 
     @pytest.mark.parametrize("argv, code", [
         (["stress-matrix", "--matrix", MATRIX, "--rho", "0.2", "--z", "-1"],
@@ -850,37 +850,40 @@ class TestPhiUfuncLoader:
         assert fallback == stubbed
         assert len(fallback) == 2 * (2 * 8 * 4096 + 1)
 
-    def test_stub_is_seen_only_under_the_import_lock(self):
-        # another thread that imports scipy.special inside the stub window
-        # waits for the lock, then gets the real package
+    def test_another_thread_importing_during_the_load_gets_the_package(self):
+        # the main thread's import pauses once it looks for a scipy.special
+        # module, while the other thread runs `from scipy.special import`
         run_fresh(
-            "import _imp, importlib, sys, threading\n"
+            "import sys, threading, time\n"
             "import ttcstress\n"
             "from ttcstress import normal\n"
-            "real = importlib.import_module\n"
+            "go = threading.Event()\n"
+            "class Pause:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if (name.startswith('scipy.special') and not go.is_set()\n"
+            "                and threading.current_thread()\n"
+            "                is threading.main_thread()):\n"
+            "            go.set()\n"
+            "            time.sleep(0.3)\n"
             "seen = {}\n"
             "def other():\n"
-            "    seen['module'] = real('scipy.special')\n"
-            "def spy(name, *args):\n"
-            "    if 'thread' not in seen:\n"
-            "        seen['held'] = _imp.lock_held()\n"
-            "        seen['stub'] = sys.modules['scipy.special']\n"
-            "        seen['thread'] = threading.Thread(target=other)\n"
-            "        seen['thread'].start()\n"
-            "        seen['thread'].join(0.3)\n"
-            "        seen['waited'] = seen['thread'].is_alive()\n"
-            "    return real(name, *args)\n"
-            "importlib.import_module = spy\n"
+            "    go.wait()\n"
+            "    try:\n"
+            "        from scipy.special import ndtr, ndtri\n"
+            "        seen['pair'] = ndtr, ndtri\n"
+            "    except ImportError as exc:\n"
+            "        seen['error'] = exc\n"
+            "thread = threading.Thread(target=other)\n"
+            "thread.start()\n"
+            "sys.meta_path.insert(0, Pause())\n"
             "ndtr, ndtri = normal._phi_ufuncs()\n"
-            "importlib.import_module = real\n"
-            "assert seen['held'] and seen['waited']\n"
-            "assert getattr(seen['stub'], '__file__', None) is None\n"
-            "seen['thread'].join(30)\n"
-            "assert not seen['thread'].is_alive()\n"
-            "assert seen['module'] is sys.modules['scipy.special']\n"
-            "assert seen['module'].ndtr is ndtr\n"
-            "assert seen['module'].ndtri is ndtri\n")
-
+            "go.set()\n"
+            "thread.join(30)\n"
+            "assert not thread.is_alive()\n"
+            "assert 'error' not in seen, seen\n"
+            "assert seen['pair'][0] is ndtr and seen['pair'][1] is ndtri\n"
+            "assert sys.modules['scipy.special'].__file__.endswith("
+            "'__init__.py')\n")
 
 def tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()

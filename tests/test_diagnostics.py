@@ -587,8 +587,10 @@ class TestResultArraysAreReadOnly:
                 arr[0] = 0.5
             assert arr.tobytes() == before.tobytes(), name
 
-    def test_classify_leaves_the_callers_array_writable(self):
+    def test_classify_keeps_its_own_copy_of_the_callers_array(self):
         pds = np.array([0.02, 0.03, 0.01])
         report = ts.classify_pd_path(pds)
         assert pds.flags.writeable and not report.pd_path.flags.writeable
-        pds[0] = 0.5
+        pds[1] = 0.9
+        assert report.pd_path.tolist() == [0.02, 0.03, 0.01]
+        assert report.max_pd == 0.03
