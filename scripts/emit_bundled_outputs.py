@@ -6,19 +6,21 @@ scenario) on the four books, plus `ttc`, `stress-matrix`, `fit-macro` and
 `diagnose`.  Each of these runs once without options and once per
 `--format` (none, text, csv, json, svg) with `--out-dir`, so that the
 formats a command does not emit are recorded as the usage errors they are.
-`--help`, `propagate --help` and four more usage errors (`--tol` given
-to `validate` and to `ttc`, `propagate --z -1` without `--rho`, and
-`propagate --rho nan`) run too, and last a `diagnose` of the path that the
-scenario run of the seasoned book wrote, to compare its classification and
-extrema with that run's.  Every call gets a directory
+The `--help` of the program and of each subcommand and four usage errors
+(`--tol` given to `validate` and to `ttc`, `propagate --z -1` without
+`--rho`, and `propagate --rho nan`) run too, and last a `diagnose` of the
+path that the scenario run of the seasoned book wrote, to compare its
+classification and extrema with that run's.  Every call gets a directory
 OUT_DIR/<case>/<variant>/ holding its stdout.txt, stderr.txt, exit_code.txt
 and, with `--out-dir`, the emitted files under out/.
 
 An A/B byte-identity check of two versions of the package is two runs, one
-per version on the import path, and a comparison:
+per version on the import path, and a comparison; `compare_outputs.py`
+names the size of each numeric difference that `diff -r` finds:
 
     PYTHONPATH=A/src python scripts/emit_bundled_outputs.py out_a
     PYTHONPATH=B/src python scripts/emit_bundled_outputs.py out_b
+    diff -r out_a out_b
     python scripts/compare_outputs.py out_a out_b
 
 Usage: python scripts/emit_bundled_outputs.py OUT_DIR
@@ -68,13 +70,16 @@ def cases() -> list[tuple[str, list[str]]]:
 
 def calls() -> list[tuple[str, list[str]]]:
     """(relative directory, argv) of every call, in the order they run."""
-    out = [("help/top", ["--help"]), ("help/propagate", ["propagate", "--help"]),
-           ("usage-error/validate-tol", cases()[0][1] + ["--tol", "1"]),
-           ("usage-error/ttc-tol", dict(cases())["ttc"] + ["--tol", "1"]),
-           ("usage-error/propagate-z-without-rho",
-            dict(cases())["propagate-midgrade-z0"] + ["--z", "-1"]),
-           ("usage-error/propagate-rho-nan",
-            dict(cases())["propagate-midgrade-z0"] + ["--rho", "nan"])]
+    out = [("help/top", ["--help"])] + [
+        (f"help/{name}", [name, "--help"])
+        for name in ("validate", "ttc", "propagate", "stress-matrix",
+                     "fit-macro", "diagnose")]
+    out += [("usage-error/validate-tol", cases()[0][1] + ["--tol", "1"]),
+            ("usage-error/ttc-tol", dict(cases())["ttc"] + ["--tol", "1"]),
+            ("usage-error/propagate-z-without-rho",
+             dict(cases())["propagate-midgrade-z0"] + ["--z", "-1"]),
+            ("usage-error/propagate-rho-nan",
+             dict(cases())["propagate-midgrade-z0"] + ["--rho", "nan"])]
     for name, argv in cases():
         out.append((f"{name}/bare", argv))
         for fmt in FORMATS:
@@ -94,9 +99,14 @@ def run(out_dir: Path) -> None:
         target = out_dir / rel
         target.mkdir(parents=True, exist_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
-        with (contextlib.chdir(target), contextlib.redirect_stdout(stdout),
-              contextlib.redirect_stderr(stderr)):
-            code = cli_dispatch(argv)
+        cwd = os.getcwd()  # contextlib.chdir needs Python 3.11
+        os.chdir(target)
+        try:
+            with (contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(stderr)):
+                code = cli_dispatch(argv)
+        finally:
+            os.chdir(cwd)
         for name, text in (("stdout.txt", stdout.getvalue()),
                            ("stderr.txt", stderr.getvalue()),
                            ("exit_code.txt", f"{code}\n")):

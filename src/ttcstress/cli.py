@@ -1,5 +1,8 @@
 """Command-line interface.
 
+A command's input files are rows of the table ``_INPUTS``; ``cli_dispatch``
+reads and parses them in table order and hands the records to its handler.
+
 Exit codes: 0 clean pass, 1 validation warning (spurious dynamics flagged),
 2 model-condition failure (no unique TTC portfolio), 3 input or usage error.
 """
@@ -48,6 +51,20 @@ def _verdict_line(verdict: str) -> str:
     return f"verdict: \x1b[{color}m{verdict}\x1b[0m"
 
 
+# every input file a command can take: option -> (help text, parse of its
+# text); a parse names its function when called, so a rebinding here is seen
+_INPUTS = {
+    "matrix": ("transition matrix CSV (n x n, default grade last)",
+               lambda text: parse_matrix_csv(text)),
+    "portfolio": ("portfolio CSV (one row or column of grade weights)",
+                  lambda text: parse_vector_csv(text, "portfolio")),
+    "origination": ("origination vector CSV (last grade weight must be 0)",
+                    lambda text: parse_vector_csv(text, "origination")),
+    "path": ("CSV produced by the propagate command",
+             lambda text: parse_path_csv(text)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing keeps no state between
@@ -58,28 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "consistency diagnostics.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name, help_text, handler):
+    def add(name, help_text, handler, *inputs):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, inputs=inputs)
+        for key in inputs:
+            p.add_argument(f"--{key}", type=Path, required=True,
+                           help=_INPUTS[key][0])
         return p
 
-    p = add("validate", "run the full parameterization validation", _cmd_validate)
-    _add_matrix(p)
-    _add_portfolio(p)
-    _add_origination(p)
+    p = add("validate", "run the full parameterization validation",
+            _cmd_validate, "matrix", "portfolio", "origination")
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                    help=f"projection periods (default {DEFAULT_HORIZON})")
     _add_common(p, ("csv", "json", "svg"), band=True)
 
-    p = add("ttc", "solve for the TTC portfolio and its PD", _cmd_ttc)
-    _add_matrix(p)
-    _add_origination(p)
+    p = add("ttc", "solve for the TTC portfolio and its PD", _cmd_ttc,
+            "matrix", "origination")
     _add_common(p, ("json",))
 
-    p = add("propagate", "project a portfolio over a horizon", _cmd_propagate)
-    _add_matrix(p)
-    _add_portfolio(p)
-    _add_origination(p)
+    p = add("propagate", "project a portfolio over a horizon", _cmd_propagate,
+            "matrix", "portfolio", "origination")
     p.add_argument("--z", type=float, default=None,
                    help="constant economy state applied every period "
                         "(default 0: no stress); a nonzero z needs --rho")
@@ -95,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{DEFAULT_HORIZON}, or the whole scenario with --scenario)")
     _add_common(p, ("csv", "json", "svg"), band=True)
 
-    p = add("stress-matrix", "print the matrix conditional on z", _cmd_stress_matrix)
-    _add_matrix(p)
+    p = add("stress-matrix", "print the matrix conditional on z",
+            _cmd_stress_matrix, "matrix")
     p.add_argument("--rho", type=float, required=True, help="asset correlation")
     p.add_argument("--z", type=float, required=True, help="economy state")
     _add_common(p, ("csv",))
@@ -108,27 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, default=0, help="regressor lag")
     _add_common(p, ("json",))
 
-    p = add("diagnose", "classify an existing projection path CSV", _cmd_diagnose)
-    p.add_argument("--path", type=Path, required=True,
-                   help="CSV produced by the propagate command")
+    p = add("diagnose", "classify an existing projection path CSV",
+            _cmd_diagnose, "path")
     _add_common(p, ("json",), band=True)
 
     return parser
-
-
-def _add_matrix(p):
-    p.add_argument("--matrix", type=Path, required=True,
-                   help="transition matrix CSV (n x n, default grade last)")
-
-
-def _add_portfolio(p):
-    p.add_argument("--portfolio", type=Path, required=True,
-                   help="portfolio CSV (one row or column of grade weights)")
-
-
-def _add_origination(p):
-    p.add_argument("--origination", type=Path, required=True,
-                   help="origination vector CSV (last grade weight must be 0)")
 
 
 def _add_common(p, kinds, band=False):
@@ -222,10 +221,7 @@ def _pct(x: float) -> str:
     return f"{x * 100:.3f}%"
 
 
-def _cmd_validate(args) -> int:
-    tm = parse_matrix_csv(_read(args.matrix))
-    portfolio = parse_vector_csv(_read(args.portfolio), "portfolio")
-    origination = parse_vector_csv(_read(args.origination), "origination")
+def _cmd_validate(args, tm, portfolio, origination) -> int:
     report = run_validation(portfolio, tm, origination,
                             horizon=args.horizon, band=args.band)
     files = [("json", "report.json",
@@ -272,9 +268,7 @@ def _print_ttc(result: TTCResult) -> None:
           f"residual {result.final_step_delta:.2e})")
 
 
-def _cmd_ttc(args) -> int:
-    tm = parse_matrix_csv(_read(args.matrix))
-    origination = parse_vector_csv(_read(args.origination), "origination")
+def _cmd_ttc(args, tm, origination) -> int:
     result = solve_ttc(tm, origination)
 
     def show():
@@ -333,10 +327,7 @@ def _stress(args) -> tuple[np.ndarray, float, str]:
     return z, rho, source
 
 
-def _cmd_propagate(args) -> int:
-    tm = parse_matrix_csv(_read(args.matrix))
-    portfolio = parse_vector_csv(_read(args.portfolio), "portfolio")
-    origination = parse_vector_csv(_read(args.origination), "origination")
+def _cmd_propagate(args, tm, portfolio, origination) -> int:
     z_path, rho, rho_source = _stress(args)
     path = project_path(portfolio, tm, origination, rho=rho, z_path=z_path)
     stressed = np.count_nonzero(z_path) if rho > 0.0 else 0
@@ -364,8 +355,7 @@ def _cmd_propagate(args) -> int:
     return 1 if s.spurious else 0
 
 
-def _cmd_stress_matrix(args) -> int:
-    tm = parse_matrix_csv(_read(args.matrix))
+def _cmd_stress_matrix(args, tm) -> int:
     text = emit_matrix_csv(stress_transition_matrix(tm, args.rho, args.z))
     _emit(args, [("csv", "stressed_matrix.csv", lambda: text)],
           lambda: sys.stdout.write(text))
@@ -389,9 +379,8 @@ def _cmd_fit_macro(args) -> int:
     return 0
 
 
-def _cmd_diagnose(args) -> int:
-    report = detect_spurious_dynamics(parse_path_csv(_read(args.path)),
-                                      band=args.band)
+def _cmd_diagnose(args, path) -> int:
+    report = detect_spurious_dynamics(path, band=args.band)
 
     def show():
         print(f"classification: {report.classification}")
@@ -419,7 +408,9 @@ def cli_dispatch(argv) -> int:
         sys.stderr.write(parser.format_usage())
         return 3
     try:
-        return args.handler(args)
+        return args.handler(args, *(
+            parse(_read(getattr(args, key)))
+            for key, (_, parse) in _INPUTS.items() if key in args.inputs))
     except InputError as exc:
         sys.stderr.write(f"{PROG}: input error [{exc.code}]: {exc}\n")
         return 3

@@ -30,7 +30,7 @@ _CLASSES = {(False, False): CLASS_MONOTONE, (True, False): CLASS_RECESSION,
             (False, True): CLASS_BOOM, (True, True): CLASS_MIXED}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceReport:
     """Per-grade gap between the current book and the TTC portfolio;
     ``differences`` is read-only."""
@@ -42,7 +42,7 @@ class DivergenceReport:
     ttc_pd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpuriousReport:
     """Classification of an average-PD path from a zero-stress projection.
 
@@ -68,7 +68,7 @@ class SpuriousReport:
         return self.classification != CLASS_MONOTONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Bundle of all parameterization checks with an overall verdict.
 

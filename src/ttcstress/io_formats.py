@@ -46,20 +46,12 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _to_float(cell: str, row: int, col: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise InputError("non-numeric",
-                         f"non-numeric cell {cell!r} at row {row}, column {col}") from None
-
-
 def _float_rows(rows: list[list[str]], width: int, first: int,
                 skip: int = 0) -> np.ndarray:
     """The cells of ``rows`` past the first ``skip`` columns, as floats.
     Each row must hold ``width`` cells; messages count rows from ``first``.
     A row converts in one call; only a row that fails is walked cell by
-    cell, to name its first bad cell."""
+    cell, to name its first bad cell by row and column."""
     data = []
     for i, row in enumerate(rows, start=first):
         if len(row) != width:
@@ -68,8 +60,10 @@ def _float_rows(rows: list[list[str]], width: int, first: int,
         try:
             data.append(list(map(float, row[skip:])))
         except ValueError:
-            data.append([_to_float(c, i, j)
-                         for j, c in enumerate(row[skip:], start=skip + 1)])
+            j, cell = next((j, c) for j, c in enumerate(row[skip:], skip + 1)
+                           if not _is_number(c))
+            raise InputError("non-numeric", f"non-numeric cell {cell!r} at "
+                             f"row {i}, column {j}") from None
     return np.array(data)
 
 
@@ -100,16 +94,11 @@ def parse_vector_csv(text: str, kind: str) -> Portfolio | OriginationVector:
         raise InputError("invalid-argument",
                          f"kind must be 'portfolio' or 'origination', got {kind!r}")
     rows = _read_rows(text)
-    if len(rows) == 1:
-        cells = rows[0]
-    elif all(len(r) == 1 for r in rows):
-        cells = [r[0] for r in rows]
-    else:
+    if len(rows) > 1 and any(len(r) != 1 for r in rows):
         raise InputError("shape",
                          "vector file must be a single row or a single column")
-    values = _check_weights(
-        [_to_float(c, i + 1, 1) for i, c in enumerate(cells)], kind,
-        VECTOR_SUM_TOL)
+    values = _check_weights(_float_rows(rows, len(rows[0]), 1).ravel(), kind,
+                            VECTOR_SUM_TOL)
     values = values / values.sum()
     return Portfolio(values) if kind == "portfolio" else OriginationVector(values)
 

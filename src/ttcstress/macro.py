@@ -30,7 +30,7 @@ class CreditIndexSeries:
     periods: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)  # a read-only copy
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("shape", "credit index must be a non-empty vector")
         if not np.isfinite(arr).all():
@@ -39,6 +39,7 @@ class CreditIndexSeries:
         if (arr < 0.0).any() or (arr > 1.0).any():
             raise InputError("invalid-argument",
                              "credit index values must lie in [0, 1]")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if self.periods is not None and len(self.periods) != arr.size:
             raise InputError("shape", "period labels do not match series length")
@@ -56,7 +57,7 @@ class MacroScenario:
     periods: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)  # a read-only copy
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise InputError("shape", "macro scenario must be a non-empty matrix")
         if not np.isfinite(arr).all():
@@ -64,6 +65,7 @@ class MacroScenario:
                              "macro scenario contains non-finite values")
         if len(self.names) != arr.shape[1]:
             raise InputError("shape", "variable names do not match column count")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if self.periods is not None and len(self.periods) != arr.shape[0]:
             raise InputError("shape", "period labels do not match row count")
@@ -105,7 +107,7 @@ class MacroModel:
     residual_variance: float
 
     def __post_init__(self):
-        betas = np.array(self.betas, dtype=float)
+        betas = np.array(self.betas, dtype=float)  # a read-only copy
         if betas.ndim != 1 or betas.size < 2 or not np.isfinite(betas).all():
             raise InputError("invalid-argument",
                              "betas must be a finite vector of length >= 2 "
@@ -114,6 +116,7 @@ class MacroModel:
         if not 0.0 < p < 1.0:
             raise InputError("invalid-argument",
                              f"p must lie in (0, 1), got {p!r}")
+        betas.flags.writeable = False
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "lag", _check_lag(self.lag))
         object.__setattr__(self, "p", p)

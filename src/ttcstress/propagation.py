@@ -92,7 +92,7 @@ class OriginationVector:
         return self.weights.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionPath:
     """Multi-period projection record.
 

@@ -120,7 +120,7 @@ def build_m_p(tm: TransitionMatrix, origination: OriginationVector) -> np.ndarra
         propagation._step_stack(tm.probs, origination.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TTCResult:
     """TTC portfolio with solver diagnostics.
 
@@ -272,7 +272,7 @@ def _check_solver_inputs(tm: TransitionMatrix, origination: OriginationVector,
             reason=reason)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronReport:
     """Structural checks behind existence and convergence of the TTC portfolio.
 

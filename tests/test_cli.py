@@ -486,6 +486,58 @@ class TestUsageErrors:
         assert code == 0
         assert "COMMAND" in out
 
+    def test_bad_cell_of_a_one_row_book_is_named_by_column(self, tmp_path,
+                                                           capsys):
+        book = tmp_path / "book.csv"
+        book.write_text("0.5,0.3,x,0.2,0,0,0,0\n")
+        code, _, err = run("validate", "--matrix", MATRIX, "--portfolio",
+                           str(book), "--origination", ORIGINATION,
+                           capsys=capsys)
+        assert (code, err) == (3, "ttcstress: input error [non-numeric]: "
+                               "non-numeric cell 'x' at row 1, column 3\n")
+
+
+class TestInputOrder:
+    """A command reports its first bad input in one order: matrix,
+    portfolio, origination, then the options the command checks itself."""
+
+    @pytest.mark.parametrize("argv, inputs, last", [
+        (["validate"], ("matrix", "portfolio", "origination"), None),
+        (["ttc"], ("matrix", "origination"), None),
+        (["propagate", "--z", "-1"], ("matrix", "portfolio", "origination"),
+         "needs --rho"),
+        (["propagate", "--scenario", "{missing}/scenario.csv", "--z", "-1"],
+         ("matrix", "portfolio", "origination"), "mutually exclusive"),
+        (["propagate", "--scenario", "{missing}/scenario.csv"],
+         ("matrix", "portfolio", "origination"),
+         "cannot read {missing}/scenario.csv"),
+        (["stress-matrix", "--rho", "0.2", "--z", "-1"], ("matrix",), None),
+        (["diagnose"], ("path",), None),
+    ])
+    def test_each_valid_file_moves_the_error_to_the_next(
+            self, argv, inputs, last, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        valid = {"matrix": MATRIX, "portfolio": MIDGRADE,
+                 "origination": ORIGINATION, "path": tmp_path / "path.csv"}
+        valid["path"].write_text(ts.emit_path_csv(ts.project_path(
+            ts.Portfolio([0.5, 0.5]), ts.TransitionMatrix([[0.9, 0.1], [0, 1]]),
+            ts.OriginationVector([1.0, 0.0]), 0.0, [0.0])))
+        argv = [a.format(missing=missing) for a in argv]
+        for k in range(len(inputs) + 1):
+            files = [valid[name] if i < k else f"{missing}/{name}.csv"
+                     for i, name in enumerate(inputs)]
+            code, _, err = run(*argv, *(a for name, f in zip(inputs, files)
+                                        for a in (f"--{name}", str(f))),
+                               capsys=capsys)
+            if k < len(inputs):
+                expected = f"cannot read {files[k]}"
+            else:
+                expected = last and last.format(missing=missing)
+            if expected is None:  # every input valid: the command runs
+                assert code != 3, err
+            else:
+                assert code == 3 and expected in err, (expected, err)
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):

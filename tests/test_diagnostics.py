@@ -587,6 +587,18 @@ class TestResultArraysAreReadOnly:
                 arr[0] = 0.5
             assert arr.tobytes() == before.tobytes(), name
 
+    def test_records_compare_by_identity(self, matrix8, origination8,
+                                         portfolios):
+        """Result records hold arrays, so they compare and hash by
+        identity, as the input records do."""
+        book = portfolios["barbell"]
+        one, two = (ts.run_validation(book, matrix8, origination8)
+                    for _ in range(2))
+        for name in ("path", "divergence", "spurious", "perron", "ttc", None):
+            a, b = (getattr(r, name) if name else r for r in (one, two))
+            assert a == a and a != b and hash(a) == hash(a), name
+            assert len({a, b}) == 2, name
+
     def test_classify_keeps_its_own_copy_of_the_callers_array(self):
         pds = np.array([0.02, 0.03, 0.01])
         report = ts.classify_pd_path(pds)

@@ -1,5 +1,5 @@
-"""Smoke test of scripts/emit_bundled_outputs.py: two runs compare as
-byte-identical under scripts/compare_outputs.py, with every expected file."""
+"""Smoke test of scripts/emit_bundled_outputs.py: two runs write the same
+bytes to every expected file, and scripts/compare_outputs.py agrees."""
 import importlib.util
 import os
 import subprocess
@@ -35,6 +35,11 @@ def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
         assert proc.returncode == 0, proc.stderr
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     assert "only in" not in capsys.readouterr().out
+    root = tmp_path / "a"
+    found = {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+    # compare_outputs passes numbers that differ by up to 1e-12; bytes may not
+    assert [rel for rel in sorted(found) if (root / rel).read_bytes()
+            != (tmp_path / "b" / rel).read_bytes()] == []
 
     expected, refused = set(), set()
     for rel, argv in emit_bundled_outputs.calls():
@@ -51,9 +56,9 @@ def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):
                 names = []
                 refused.add(rel)
             expected |= {f"{rel}/out/{name}" for name in names}
-    root = tmp_path / "a"
-    assert {str(p.relative_to(root)) for p in root.rglob("*")
-            if p.is_file()} == expected
+    assert found == expected
+    for name in CLI_FILES:  # every subcommand's help is recorded
+        assert (root / "help" / name / "exit_code.txt").read_text() == "0\n"
     codes = {rel: (root / rel / "exit_code.txt").read_text()
              for rel in ("help/top", "usage-error/validate-tol",
                          "diagnose/json", "propagate-seasoned-z0/bare")}

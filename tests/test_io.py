@@ -141,6 +141,16 @@ class TestParseVectorCsv:
         with pytest.raises(InputError):
             ts.parse_vector_csv("0.5,0.5", "book")
 
+    @pytest.mark.parametrize("text, where", [
+        ("0.5,0.3,x,0.2\n", "row 1, column 3"),
+        ("0.5\n0.3\nx\n0.2\n", "row 3, column 1"),
+    ])
+    def test_bad_cell_named_by_row_and_column(self, text, where):
+        with pytest.raises(InputError) as err:
+            ts.parse_vector_csv(text, "portfolio")
+        assert err.value.code == "non-numeric"
+        assert str(err.value) == f"non-numeric cell 'x' at {where}"
+
 
 class TestParseScenarioCsv:
     def test_credit_index_only(self):

@@ -352,6 +352,26 @@ class TestModelValidation:
         scenario = ts.MacroScenario(np.ones((5, 1)), names=("x",))
         assert ts.economy_state_path(model, scenario).size == 3
 
+    def test_records_keep_read_only_copies(self):
+        """A write to the caller's array or to the record's own leaves the
+        checked values as they were."""
+        made = [(lambda v: ts.CreditIndexSeries(v), "values",
+                 np.array([0.01, 0.02])),
+                (lambda v: ts.MacroScenario(v, names=("x",)), "values",
+                 np.array([[1.0], [2.0]])),
+                (lambda v: self._model(betas=v), "betas", np.array([0.0, 1.0]))]
+        for make, field, given in made:
+            record = make(given)
+            held = getattr(record, field)
+            before = held.copy()
+            given[0] = 1.5
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = np.nan
+            assert held.tobytes() == before.tobytes(), field
+            assert given.flags.writeable
+        assert ts.economy_state(self._model(), [1.0]) == ts.economy_state(
+            record, [1.0])
+
     def test_list_betas_become_a_float_array(self):
         model = self._model(betas=[0, 1])
         assert model.betas.dtype == float and model.n_vars == 1
