@@ -160,7 +160,8 @@ def parse_path_csv(text: str) -> ProjectionPath:
     """Parse a file produced by :func:`emit_path_csv` back into its path,
     with read-only arrays, as :func:`project_path` gives.  The periods
     must read exactly 0, 1, ..., m, so an older file, which has no
-    period-0 row, is rejected."""
+    period-0 row, is rejected.  Every other cell must be a finite number;
+    the first that is not is named by its row and column in the file."""
     rows = _read_rows(text)
     header = rows[0]
     if tuple(header[:4]) != PATH_HEADER_FIXED:
@@ -178,6 +179,11 @@ def parse_path_csv(text: str) -> ProjectionPath:
                          "path file periods must read 0, 1, ..., m from the "
                          "initial book on; re-run propagate to write it")
     arr = _float_rows(body, len(header), 2)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise InputError("invalid-argument", f"non-finite cell {body[i][j]!r} "
+                         f"at row {i + 2}, column {j + 1}")
     arr.flags.writeable = False
     return ProjectionPath(
         initial=Portfolio(arr[0, 4:]), initial_pd=float(arr[0, 2]),

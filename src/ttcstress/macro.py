@@ -214,7 +214,8 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
                          "rank-deficient design: regressors are collinear")
     resid = y - design @ betas
     ssr = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum())
+    # a truly constant series has sst = 0 exactly, without mean roundoff
+    sst = 0.0 if (y == y[0]).all() else float(((y - y.mean()) ** 2).sum())
     if sst > 0.0:
         r_squared = 1.0 - ssr / sst
     else:

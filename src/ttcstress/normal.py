@@ -2,18 +2,9 @@
 
 Only the CDF / quantile pair is exposed; both accept scalars or numpy arrays
 and return matching shapes.  They are SciPy's compiled ``ndtr`` and
-``ndtri`` ufuncs, loaded on first use, so a process that never evaluates
-either function (``validate``, ``ttc``, ``diagnose``) does not load SciPy.
-
-The first use loads ``scipy`` and the extension module
-``scipy.special._ufuncs`` alone, not the ``scipy.special`` package: the
-package's ``__init__`` also imports its array-API layer (and with it
-``numpy.f2py`` and ``numpy.testing``), which took more than half the wall
-time of a stressed command.  A later ``import scipy.special`` hands back
-the very same ufuncs.  Where ``scipy.special`` is already loaded, another
-thread is running (it could see the package stub the load puts in
-``sys.modules``), or the extension module cannot be loaded alone, the
-ufuncs come from the package.
+``ndtri`` ufuncs, loaded on first use by :func:`_phi_ufuncs`, so a process
+that never evaluates either function (``validate``, ``ttc``, ``diagnose``)
+does not load SciPy.
 """
 from __future__ import annotations
 
@@ -29,45 +20,44 @@ from .errors import InputError
 _ufuncs = None  # (ndtr, ndtri), once loaded
 
 
-def _load_ufuncs():
-    """The ``scipy.special._ufuncs`` module, loaded under a bare
-    ``scipy.special`` package stub, or the package itself if it is in
-    ``sys.modules`` already or another thread is running.
-
-    The stub stands in ``sys.modules`` only while this loads the extension
-    module, and only when no other thread runs, so no one else can see it:
-    an ``import scipy.special`` elsewhere could otherwise be handed the
-    stub.  The extension modules loaded stay in ``sys.modules``, where the
-    package's own import finds them: a Cython module cannot be loaded
-    twice."""
-    if "scipy.special" in sys.modules or threading.active_count() > 1:
-        import scipy.special
-        return scipy.special
-    import scipy
-    spec = importlib.util.spec_from_loader("scipy.special", None,
-                                           is_package=True)
-    spec.submodule_search_locations = [
-        os.path.join(os.path.dirname(scipy.__file__), "special")]
-    stub = importlib.util.module_from_spec(spec)
-    sys.modules["scipy.special"] = stub
-    try:
-        return importlib.import_module("scipy.special._ufuncs")
-    finally:
-        if sys.modules.get("scipy.special") is stub:
-            del sys.modules["scipy.special"]
-
-
 def _phi_ufuncs():
-    """SciPy's ``(ndtr, ndtri)``, resolved once per process."""
+    """SciPy's ``(ndtr, ndtri)``, resolved once per process.
+
+    When ``scipy.special`` is not loaded yet and no other thread runs, they
+    come from the extension module ``scipy.special._ufuncs``, loaded under a
+    bare ``scipy.special`` package stub: the package's ``__init__`` also
+    imports its array-API layer (and with it ``numpy.f2py`` and
+    ``numpy.testing``), which took more than half the wall time of a
+    stressed command.  The stub stands in ``sys.modules`` only during that
+    load, with no other thread to see it: an ``import scipy.special``
+    elsewhere could otherwise be handed the stub.  The extension modules
+    loaded stay in ``sys.modules``, where the package's own import finds
+    them (a Cython module cannot be loaded twice), so a later ``import
+    scipy.special`` hands back the very same ufuncs.  Otherwise, or when
+    the extension module cannot be loaded alone or lacks either ufunc, they
+    come from the package."""
     global _ufuncs
-    if _ufuncs is None:
+    if _ufuncs is not None:
+        return _ufuncs
+    module = None
+    if "scipy.special" not in sys.modules and threading.active_count() == 1:
+        import scipy
+        spec = importlib.util.spec_from_loader("scipy.special", None,
+                                               is_package=True)
+        spec.submodule_search_locations = [
+            os.path.join(os.path.dirname(scipy.__file__), "special")]
+        stub = importlib.util.module_from_spec(spec)
+        sys.modules["scipy.special"] = stub
         try:
-            module = _load_ufuncs()
-            pair = module.ndtr, module.ndtri
-        except (ImportError, AttributeError):
-            from scipy.special import ndtr, ndtri
-            pair = ndtr, ndtri
-        _ufuncs = pair
+            module = importlib.import_module("scipy.special._ufuncs")
+        except ImportError:
+            pass
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+    if not (hasattr(module, "ndtr") and hasattr(module, "ndtri")):
+        import scipy.special as module
+    _ufuncs = module.ndtr, module.ndtri
     return _ufuncs
 
 

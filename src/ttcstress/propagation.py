@@ -193,7 +193,8 @@ def _propagate(w: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
 
 def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
                    origination: OriginationVector) -> tuple[Portfolio, float]:
-    """One propagation period under ``tm``.
+    """One propagation period under ``tm``: the first period of
+    :func:`project_path` at z = 0.
 
     Returns the post-period portfolio (default grade written off and
     re-originated, so its default weight is exactly zero) and the defaulted
@@ -203,14 +204,10 @@ def propagate_step(portfolio: Portfolio, tm: TransitionMatrix,
     sum check: on rows at that bound its mass drifts past it within a few
     steps, as in :func:`project_path`.
     """
-    _check_sizes(portfolio=portfolio, matrix=tm, origination=origination)
-    b = _step_matrix(tm, origination.weights)
-    row = np.empty((1, b.shape[1]))
-    _propagate(portfolio.weights, (b,), row)
-    row.flags.writeable = False
+    path = project_path(portfolio, tm, origination, 0.0, (0.0,))
     book = object.__new__(Portfolio)  # not re-checked, see the docstring
-    object.__setattr__(book, "weights", row[0, :tm.n])
-    return book, float(row[0, tm.n])
+    object.__setattr__(book, "weights", path.portfolios[0])
+    return book, float(path.default_flows[0])
 
 
 def _pd(books: np.ndarray, tm: TransitionMatrix) -> np.ndarray:

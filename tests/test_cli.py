@@ -398,6 +398,22 @@ class TestDiagnoseCommand:
         assert "monotone-convergent" in out
 
 
+    def test_non_finite_cell_is_an_input_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        run("propagate", "--matrix", MATRIX, "--portfolio", BARBELL,
+            "--origination", ORIGINATION, "--z", "0", "--horizon", "2",
+            "--out-dir", str(out_dir), capsys=capsys)
+        lines = (out_dir / "path.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "nan"
+        lines[2] = ",".join(cells)
+        (out_dir / "path.csv").write_text("\n".join(lines) + "\n")
+        code, out, err = run("diagnose", "--path", str(out_dir / "path.csv"),
+                             capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == ("ttcstress: input error [invalid-argument]: "
+                       "non-finite cell 'nan' at row 3, column 2\n")
+
 class TestDiagnoseAgreesWithPropagate:
     """``diagnose`` on a ``path.csv`` says what the ``propagate`` run that
     wrote it said, on every bundled propagate case."""

@@ -211,6 +211,34 @@ class TestRunValidation:
         assert doc["perron"]["residual_ok"] is False
         assert doc["perron"]["passed"] is False
 
+    def test_significantly_negative_fixed_vector_is_a_model_condition(
+            self, matrix8, origination8, portfolios, monkeypatch, capsys):
+        real = ts.diagnostics.verify_perron_structure
+
+        def negative(tm, origination):
+            report = real(tm, origination)
+            w = report.fixed_vector.copy()
+            w[2] = -2e-10
+            return dataclasses.replace(report, fixed_vector=w)
+
+        monkeypatch.setattr(ts.diagnostics, "verify_perron_structure",
+                            negative)
+        message = "direct solve produced a significantly negative component"
+        with pytest.raises(ts.PrimitivityError, match=message):
+            ts.ttc._ttc_result(matrix8, origination8,
+                               negative(matrix8, origination8))
+        with pytest.raises(ts.PrimitivityError, match=message):
+            ts.run_validation(portfolios["midgrade"], matrix8, origination8)
+        code = cli_dispatch(["validate", "--matrix",
+                             str(DATA / "transition_matrix.csv"),
+                             "--portfolio",
+                             str(DATA / "portfolio_midgrade.csv"),
+                             "--origination", str(DATA / "origination.csv")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(
+            f"ttcstress: model condition failed: {message};")
+
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_degenerate_spectral_structure_is_not_silent(
             self, fmt, matrix8, origination8, portfolios, monkeypatch,

@@ -283,6 +283,22 @@ class TestPathCsv:
         assert err.value.code == "non-numeric"
         assert str(err.value) == "non-numeric cell 'x1' at row 41, column 7"
 
+    @pytest.mark.parametrize("cell, row, column", [
+        ("nan", 3, 2), ("inf", 2, 5), ("-inf", 51, 3), ("NaN", 30, 4),
+        ("nan", 12, 12)])
+    def test_a_non_finite_cell_names_its_row_and_column(
+            self, barbell_path, cell, row, column):
+        lines = ts.emit_path_csv(barbell_path).splitlines()
+        cells = lines[row - 1].split(",")
+        cells[column - 1] = cell
+        lines[row - 1] = ",".join(cells)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",inf"  # a later one
+        with pytest.raises(InputError) as err:
+            ts.parse_path_csv("\n".join(lines) + "\n")
+        assert err.value.code == "invalid-argument"
+        assert str(err.value) == (f"non-finite cell {cell!r} at row {row}, "
+                                  f"column {column}")
+
     def test_rows_are_checked_in_order_width_before_cells(self,
                                                           barbell_path):
         lines = ts.emit_path_csv(barbell_path).splitlines()

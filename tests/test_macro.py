@@ -145,6 +145,18 @@ class TestFitMacroModel:
             ts.fit_macro_model(series, scenario, lag=0)
         assert err.value.code == "dimension-mismatch"
 
+    @pytest.mark.parametrize("value", [0.1, 0.02, 0.3, 0.77])
+    @pytest.mark.parametrize("length", [10, 23, 40])
+    def test_constant_index_is_fitted_exactly(self, value, length):
+        # the intercept alone fits it; the mean's roundoff is no variance
+        rng = np.random.default_rng(7)
+        series = ts.CreditIndexSeries(np.full(length, value))
+        scenario = ts.MacroScenario(rng.standard_normal((length, 2)),
+                                    names=("x1", "x2"))
+        model = ts.fit_macro_model(series, scenario, lag=1)
+        assert model.r_squared == 1.0
+        assert model.residual_variance <= 1e-24
+
     def test_stores_moment_calibration_of_full_series(self):
         series, scenario = _exact_linear_inputs(lag=1)
         model = ts.fit_macro_model(series, scenario, lag=1)
