@@ -25,7 +25,7 @@ from .io_formats import (emit_matrix_csv, emit_path_csv, fmt, parse_matrix_csv,
                          parse_path_csv, parse_scenario_csv, parse_vector_csv)
 from .macro import economy_state_path, fit_macro_model
 from .propagation import project_path
-from .transition import stress_transition_matrix
+from .transition import _check_count, stress_transition_matrix
 from .ttc import TTCResult, solve_ttc
 
 PROG = "ttcstress"
@@ -301,8 +301,8 @@ def _stress(args) -> tuple[np.ndarray, float, str]:
     if args.scenario is not None and args.z is not None:
         raise InputError("invalid-argument",
                          "--z and --scenario are mutually exclusive")
-    if args.horizon is not None and args.horizon < 1:
-        raise InputError("invalid-argument", "horizon must be >= 1")
+    if args.horizon is not None:
+        _check_count("horizon", args.horizon, 1)
     if args.scenario is None:
         if args.lag is not None:
             raise InputError("invalid-argument",

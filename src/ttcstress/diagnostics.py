@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
                           _check_sizes, _pd, project_path)
-from .transition import TransitionMatrix
+from .transition import TransitionMatrix, _check_count
 from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
                   is_primitive, verify_perron_structure)
 
@@ -182,8 +182,7 @@ def run_validation(current: Portfolio, tm: TransitionMatrix,
     model check can read them as a verdict.  Each field is bit for bit
     what its stage's public function gives.
     """
-    if horizon < 1:
-        raise InputError("invalid-argument", "horizon must be >= 1")
+    horizon = _check_count("horizon", horizon, 1)
     _check_sizes(current=current, matrix=tm, origination=origination)
     if not is_primitive(tm.performing_block):
         defect = _primitivity_defect(tm.performing_block > 0.0)

@@ -37,16 +37,19 @@ class ConvergenceError(TTCStressError, RuntimeError):
     """Iterative solver exhausted its iteration budget.
 
     ``cycle_delta`` is the L1 distance between the last iterate and the one
-    two steps before it; a near-zero value flags a period-2 oscillation,
-    the signature of a non-primitive performing block.
+    two steps before it; a value below 1e-9 flags a period-2 oscillation,
+    the signature of a non-primitive performing block.  The message ends
+    with that verdict in parentheses.
     """
 
     def __init__(self, message: str, iterations: int, last_delta: float,
                  cycle_delta: float):
-        super().__init__(message)
         self.iterations = iterations
         self.last_delta = last_delta
         self.cycle_delta = cycle_delta
+        hint = ("iterates repeat with period 2, the system is oscillating"
+                if self.oscillating else "no short cycle detected")
+        super().__init__(f"{message} ({hint})")
 
     @property
     def oscillating(self) -> bool:

@@ -11,7 +11,6 @@ lagged macro variables then turns any macro scenario into a z path.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .normal import std_normal_cdf, std_normal_inv_cdf
-from .transition import _check_rho
+from .transition import _check_count, _check_rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +78,6 @@ class MacroScenario:
         return self.values.shape[1]
 
 
-def _check_lag(lag) -> int:
-    """``lag`` as an int; anything but a whole number >= 0 (a Python or
-    numpy integer) is an ``invalid-argument`` error."""
-    if not isinstance(lag, numbers.Integral) or lag < 0:
-        raise InputError("invalid-argument",
-                         f"lag must be an integer >= 0, got {lag}")
-    return int(lag)
-
-
 @dataclass(frozen=True, eq=False)
 class MacroModel:
     """Fitted probit-link regression with the calibrated (p, rho) pair.
@@ -118,7 +108,7 @@ class MacroModel:
                              f"p must lie in (0, 1), got {p!r}")
         betas.flags.writeable = False
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "lag", _check_lag(self.lag))
+        object.__setattr__(self, "lag", _check_count("lag", self.lag, 0))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rho", _check_rho(self.rho))
 
@@ -194,7 +184,7 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
     below its column count (collinear regressors) is rejected.  The
     calibrated (p, rho) from the full series is stored on the model.
     """
-    lag = _check_lag(lag)
+    lag = _check_count("lag", lag, 0)
     if len(series) != scenario.n_periods:
         raise InputError("dimension-mismatch",
                          f"series has {len(series)} periods, scenario has "
@@ -205,7 +195,8 @@ def fit_macro_model(series: CreditIndexSeries, scenario: MacroScenario,
     if n_obs < k + 2:
         raise InputError("too-short",
                          f"need at least {k + 2} aligned observations for "
-                         f"{k} regressors, got {n_obs}")
+                         f"{k} regressors, got {max(n_obs, 0)} "
+                         f"({len(series)} periods at lag {lag})")
     design = np.column_stack([np.ones(n_obs),
                               scenario.values[:scenario.n_periods - lag]])
     betas, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)

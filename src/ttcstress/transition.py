@@ -19,6 +19,8 @@ gathered rather than evaluated again.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -155,7 +157,8 @@ def _check_rates(arr: np.ndarray, tol: float) -> np.ndarray:
 def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatrix:
     """Validate a raw square matrix and renormalize its rows.
 
-    The checks are :func:`_check_rates` at ``tol``: a failure has the code
+    ``tol`` must be a finite number >= 0.  The checks are
+    :func:`_check_rates` at ``tol``: a failure has the code
     and wording it has in :class:`TransitionMatrix`, whose bound is 1e-12,
     with the same n ulp of slack.  Rows that :class:`TransitionMatrix`
     would reject but ``tol`` lets pass are rescaled (already-stochastic rows
@@ -163,6 +166,7 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     keeps the rates as given in ``published``, which only this function
     sets; otherwise ``published`` is None.
     """
+    _check_tol(tol)
     arr = np.array(raw, dtype=float)
     sums = _check_rates(arr, tol)
     # rescale only rows that need it, so already-valid matrices pass through
@@ -176,6 +180,25 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     arr.flags.writeable = False
     object.__setattr__(tm, "published", arr)
     return tm
+
+
+def _check_tol(tol: float, positive: bool = False) -> None:
+    """Anything but a finite ``tol`` >= 0 (> 0 when ``positive``) is an
+    ``invalid-argument`` error."""
+    value = float(tol)
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = ">" if positive else ">="
+        raise InputError("invalid-argument", f"tol must be a finite number "
+                                             f"{bound} 0, got {value!r}")
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; anything but a whole number >= ``minimum`` (a
+    Python or numpy integer) is an ``invalid-argument`` error."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputError("invalid-argument", f"{name} must be an integer >= "
+                                             f"{minimum}, got {value}")
+    return int(value)
 
 
 def _check_rho(rho: float) -> float:

@@ -33,7 +33,8 @@ from . import propagation
 from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes, _pd,
                           _propagate, _step_matrix, average_pd)
-from .transition import TransitionMatrix, _check_finite
+from .transition import (TransitionMatrix, _check_count, _check_finite,
+                         _check_tol)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -198,8 +199,8 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
     :class:`ConvergenceError` carries a period-2 oscillation diagnostic.
     """
     _check_solver_inputs(tm, origination, require_primitive, initial)
-    if max_iter < 1:
-        raise InputError("invalid-argument", "max_iter must be >= 1")
+    _check_tol(tol, positive=True)
+    max_iter = _check_count("max_iter", max_iter, 1)
     if initial is not None:
         w = initial.weights.copy()
     else:
@@ -225,12 +226,9 @@ def solve_ttc_iterative(tm: TransitionMatrix, origination: OriginationVector,
         two_back, prev2, prev1, prev_delta = prev2, prev1, w, delta
     cycle = (float("nan") if two_back is None
              else float(np.abs(w - two_back).sum()))
-    hint = ("iterates repeat with period 2, the system is oscillating"
-            if cycle < tol else "no short cycle detected")
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations: last L1 delta "
-        f"{delta:.3e}, distance to the iterate two steps back {cycle:.3e} "
-        f"({hint})",
+        f"{delta:.3e}, distance to the iterate two steps back {cycle:.3e}",
         iterations=max_iter,
         last_delta=delta,
         cycle_delta=cycle,

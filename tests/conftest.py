@@ -94,10 +94,29 @@ def random_portfolio(rng: np.random.Generator, n: int,
     return ts.Portfolio(w)
 
 
-def bench_systems():
-    """The benchmark's seeded system generator, loaded from its file."""
-    path = DATA.parent / "bench" / "systems.py"
-    spec = importlib.util.spec_from_file_location("bench_systems", path)
+def load_file(relative: str):
+    """The module of the repository file ``relative``, loaded from its path."""
+    path = DATA.parent / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_systems():
+    """The benchmark's seeded system generator, loaded from its file."""
+    return load_file("bench/systems.py")
+
+
+def master_scale_system(rng: np.random.Generator, n: int = 21,
+                        moved: bool = True
+                        ) -> tuple[ts.TransitionMatrix, ts.OriginationVector]:
+    """The benchmark's banded master-scale system of ``n`` grades, with one
+    diagonal entry moved one tick (1e-4) when ``moved``, so that its rows
+    were rounded and the matrix keeps its published rates."""
+    probs, orig = bench_systems().rating_system(rng, n)
+    if moved:
+        i = int(rng.integers(n - 1))
+        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
+    return (ts.validate_transition_matrix(probs, tol=2e-4),
+            ts.OriginationVector(orig))

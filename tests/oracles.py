@@ -1,11 +1,75 @@
-"""Independent oracles kept out of the package."""
+"""The tests' independent references, each stated once, kept out of the
+package."""
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from ttcstress import charts as c
 from ttcstress.errors import InputError
 from ttcstress.normal import std_normal_cdf, std_normal_inv_cdf
+
+
+def assert_same_bits(got, want) -> None:
+    """``got`` and ``want`` are of one type and hold the same bits: records
+    field by field, numpy arrays and scalars by dtype, shape and bytes,
+    anything else by ``repr``."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(got):
+        for f in dataclasses.fields(got):
+            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(got, (np.ndarray, np.generic)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        # bytes compared as arrays: pytest's diff of long byte strings is slow
+        assert np.array_equal(np.frombuffer(got.tobytes(), np.uint8),
+                              np.frombuffer(want.tobytes(), np.uint8))
+    else:
+        assert repr(got) == repr(want)
+
+
+def reference_m_p(rates: np.ndarray, orig: np.ndarray) -> np.ndarray:
+    """M_p entry by entry: (j, i) is the direct migration from grade i to
+    grade j plus the share of grade i's default flow re-originated into j."""
+    return rates[:-1, :-1].T + np.outer(orig[:-1], rates[:-1, -1])
+
+
+def perron_vector(m_p: np.ndarray) -> tuple[float, np.ndarray]:
+    """(root, vector) of ``m_p`` from one ``np.linalg.eig``: the eigenvalue
+    of largest real part and its eigenvector scaled to unit sum."""
+    vals, vecs = np.linalg.eig(m_p)
+    k = int(np.argmax(vals.real))
+    return vals[k].real, vecs[:, k].real / vecs[:, k].real.sum()
+
+
+def reference_step(w, probs, orig, rescale):
+    """Migrate, write off the defaulted balance, re-originate it."""
+    migrated = w @ probs
+    flow = migrated[-1]
+    out = migrated.copy()
+    out[-1] = 0.0
+    out += flow * orig
+    return (out / out.sum() if rescale else out), flow
+
+
+def reference_step_stack(probs, orig, balance):
+    """Step matrices entry by entry in Python floats: fl(fl(d_i o_j) + p_ij)
+    in the first n columns, then +0.0 in column n - 1, the flow d_i in
+    column n and, with ``balance``, the row sum of the first n columns."""
+    n = probs.shape[-1]
+    stack = probs.reshape(-1, n, n).tolist()
+    o = orig.tolist()
+    out = []
+    for p in stack:
+        for row in p:
+            d = row[n - 1]
+            cells = [d * o[j] + row[j] for j in range(n)]
+            cells[n - 1] = 0.0
+            cells.append(d)
+            if balance:
+                cells.append(float(np.sum(cells[:n])))
+            out.append(cells)
+    return np.array(out).reshape(probs.shape[:-1] + (n + 1 + balance,))
 
 
 def wielandt_exponent(m: int) -> int:

@@ -1,14 +1,12 @@
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
-spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
-ab_bench = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(ab_bench)
+from conftest import load_file
+
+ab_bench = load_file("scripts/ab_bench.py")
 
 
 class StubRunner:

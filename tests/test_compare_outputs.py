@@ -1,12 +1,8 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
-spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
-compare_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare_outputs)
+from conftest import load_file
+
+compare_outputs = load_file("scripts/compare_outputs.py")
 
 
 def write_dirs(tmp_path, a: dict, b: dict):

@@ -8,8 +8,10 @@ import ttcstress as ts
 from ttcstress.cli import cli_dispatch
 from ttcstress.errors import InputError
 
-from conftest import (DATA, bench_systems, counterexample_matrix,
+from conftest import (DATA, counterexample_matrix, master_scale_system,
                       random_portfolio, random_system)
+from oracles import assert_same_bits, perron_vector, reference_m_p
+from test_cli import MATRIX, MIDGRADE, ORIGINATION
 from test_ttc import rounded_system
 
 
@@ -138,6 +140,16 @@ class TestConvergenceToTTC:
             assert gap_end <= gap0
 
 
+@pytest.fixture
+def degenerate_perron(monkeypatch):
+    """``verify_perron_structure`` as the validation reads it, with its
+    residual check failed."""
+    real = ts.diagnostics.verify_perron_structure
+    monkeypatch.setattr(ts.diagnostics, "verify_perron_structure",
+                        lambda tm, origination: dataclasses.replace(
+                            real(tm, origination), residual_ok=False))
+
+
 class TestRunValidation:
     def test_size_mismatch_raises_before_the_primitivity_gate(
             self, origination8, portfolios):
@@ -178,16 +190,15 @@ class TestRunValidation:
         with pytest.raises(InputError):
             ts.run_validation(ttc8.w_ttc, matrix8, origination8, horizon=0)
 
+    def test_fractional_horizon_rejected(self, matrix8, origination8, ttc8):
+        with pytest.raises(InputError) as err:  # not a TypeError of np.zeros
+            ts.run_validation(ttc8.w_ttc, matrix8, origination8, horizon=2.5)
+        assert (err.value.code, str(err.value)) == (
+            "invalid-argument", "horizon must be an integer >= 1, got 2.5")
+
     def test_degenerate_spectral_structure_keeps_every_component(
-            self, matrix8, origination8, portfolios, monkeypatch, capsys):
-        real = ts.diagnostics.verify_perron_structure
-
-        def degenerate(tm, origination):
-            return dataclasses.replace(real(tm, origination),
-                                       residual_ok=False)
-
-        monkeypatch.setattr(ts.diagnostics, "verify_perron_structure",
-                            degenerate)
+            self, matrix8, origination8, portfolios, degenerate_perron,
+            capsys):
         report = ts.run_validation(portfolios["midgrade"], matrix8,
                                    origination8)
         assert report.verdict == "fail: degenerate spectral structure"
@@ -196,11 +207,8 @@ class TestRunValidation:
         assert None not in (report.ttc, report.divergence, report.path,
                             report.spurious, report.perron)
         assert not report.perron.passed
-        code = cli_dispatch(["validate", "--matrix",
-                             str(DATA / "transition_matrix.csv"),
-                             "--portfolio",
-                             str(DATA / "portfolio_midgrade.csv"),
-                             "--origination", str(DATA / "origination.csv"),
+        code = cli_dispatch(["validate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION,
                              "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
@@ -229,11 +237,8 @@ class TestRunValidation:
                                negative(matrix8, origination8))
         with pytest.raises(ts.PrimitivityError, match=message):
             ts.run_validation(portfolios["midgrade"], matrix8, origination8)
-        code = cli_dispatch(["validate", "--matrix",
-                             str(DATA / "transition_matrix.csv"),
-                             "--portfolio",
-                             str(DATA / "portfolio_midgrade.csv"),
-                             "--origination", str(DATA / "origination.csv")])
+        code = cli_dispatch(["validate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith(
@@ -241,23 +246,12 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_degenerate_spectral_structure_is_not_silent(
-            self, fmt, matrix8, origination8, portfolios, monkeypatch,
+            self, fmt, matrix8, origination8, portfolios, degenerate_perron,
             capsys):
-        real = ts.diagnostics.verify_perron_structure
-
-        def degenerate(tm, origination):
-            return dataclasses.replace(real(tm, origination),
-                                       residual_ok=False)
-
-        monkeypatch.setattr(ts.diagnostics, "verify_perron_structure",
-                            degenerate)
         residual = ts.run_validation(portfolios["midgrade"], matrix8,
                                      origination8).perron.residual
-        code = cli_dispatch(["validate", "--matrix",
-                             str(DATA / "transition_matrix.csv"),
-                             "--portfolio",
-                             str(DATA / "portfolio_midgrade.csv"),
-                             "--origination", str(DATA / "origination.csv"),
+        code = cli_dispatch(["validate", "--matrix", MATRIX, "--portfolio",
+                             MIDGRADE, "--origination", ORIGINATION,
                              "--format", fmt])
         verdict, reason = capsys.readouterr().err.splitlines()
         assert code == 2
@@ -325,33 +319,25 @@ def _validation_systems():
 def _spectral_systems():
     """The validation systems plus seeded 21-grade master-scale systems with
     one row moved one tick, so that their rows were rounded."""
-    systems = _validation_systems()
-    for seed in range(4):
-        rng = np.random.default_rng(4400 + seed)
-        probs, orig = bench_systems().rating_system(rng)
-        i = int(rng.integers(probs.shape[0] - 1))
-        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
-        tm = ts.validate_transition_matrix(probs, tol=2e-4)
-        assert tm.published is not None
-        systems.append((tm, ts.OriginationVector(orig)))
-    return systems
+    systems = [master_scale_system(np.random.default_rng(4400 + seed))
+               for seed in range(4)]
+    assert all(tm.published is not None for tm, _ in systems)
+    return _validation_systems() + systems
 
 
 def dynamics_m_p(tm, orig):
     """The M_p the propagation step uses: on the published rates for a
     matrix whose rows were rounded."""
-    probs = tm.probs if tm.published is None else tm.published
-    return probs[:-1, :-1].T + np.outer(orig.weights[:-1], probs[:-1, -1])
+    return reference_m_p(tm.probs if tm.published is None else tm.published,
+                         orig.weights)
 
 
 def assert_spectral_figures_of(m_p, report):
     """The TTC, Perron root and residual of ``report`` are those of one
     eigendecomposition of ``m_p``."""
-    vals, vecs = np.linalg.eig(m_p)
-    k = int(np.argmax(vals.real))
-    v = vecs[:, k].real / vecs[:, k].real.sum()
+    root, v = perron_vector(m_p)
     assert np.abs(report.ttc.w_ttc.weights[:-1] - v).max() <= 1e-13
-    assert report.perron.root == pytest.approx(vals[k].real, abs=1e-12)
+    assert report.perron.root == pytest.approx(root, abs=1e-12)
     assert report.perron.residual <= 1e-14
 
 
@@ -543,19 +529,6 @@ class TestOneUnstressedStepPerMatrix:
         assert not step.flags.writeable
         with pytest.raises(ValueError):
             step[0, 0] = 0.5
-
-
-def assert_same_bits(x, y) -> None:
-    """``x`` and ``y`` hold the same values bit for bit, field by field."""
-    assert type(x) is type(y)
-    if dataclasses.is_dataclass(x):
-        for f in dataclasses.fields(x):
-            assert_same_bits(getattr(x, f.name), getattr(y, f.name))
-    elif isinstance(x, np.ndarray):
-        assert (x.dtype, x.shape) == (y.dtype, y.shape)
-        assert x.tobytes() == y.tobytes()
-    else:
-        assert repr(x) == repr(y)
 
 
 class TestValidationMatchesItsStages:

@@ -1,6 +1,5 @@
 """Smoke test of scripts/emit_bundled_outputs.py: two runs write the same
 bytes to every expected file, and scripts/compare_outputs.py agrees."""
-import importlib.util
 import os
 import subprocess
 import sys
@@ -8,20 +7,11 @@ from pathlib import Path
 
 import ttcstress as ts
 
-from conftest import CLI_FILES
+from conftest import CLI_FILES, load_file
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-compare_outputs = load("compare_outputs")
-emit_bundled_outputs = load("emit_bundled_outputs")
+compare_outputs = load_file("scripts/compare_outputs.py")
+emit_bundled_outputs = load_file("scripts/emit_bundled_outputs.py")
 
 
 def test_bundled_outputs_reproduce_byte_for_byte(tmp_path, capsys):

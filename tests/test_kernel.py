@@ -7,6 +7,7 @@ from ttcstress import propagation, transition
 from ttcstress.errors import InputError
 
 from conftest import bench_systems, random_portfolio, random_system
+from oracles import assert_same_bits, reference_step, reference_step_stack
 from test_cli import MATRIX, MIDGRADE, ORIGINATION, run
 from test_ttc import rounded_system
 
@@ -23,16 +24,6 @@ def seeded_cases(count: int = 60):
         z = rng.normal(0.0, 2.0, m)
         z[rng.random(m) < 0.4] = 0.0
         yield tm, orig, book, (0.0, 0.1, 0.45)[i % 3], z
-
-
-def reference_step(w, probs, orig, rescale):
-    """Migrate, write off the defaulted balance, re-originate it."""
-    migrated = w @ probs
-    flow = migrated[-1]
-    out = migrated.copy()
-    out[-1] = 0.0
-    out += flow * orig
-    return (out / out.sum() if rescale else out), flow
 
 
 class TestStepKernel:
@@ -113,28 +104,8 @@ class TestStepwiseBitIdentity:
                 assert not np.signbit(step[:, tm.n - 1]).any()
                 w, flow = ts.propagate_step(w, stressed, orig)
                 assert_same_bits(path.portfolios[t], w.weights)
-                assert_same_bits(path.default_flows[t], flow)
+                assert_same_bits(float(path.default_flows[t]), flow)
         assert minus_zero == 30
-
-
-def reference_step_stack(probs, orig, balance):
-    """Step matrices entry by entry in Python floats: fl(fl(d_i o_j) + p_ij)
-    in the first n columns, then +0.0 in column n - 1, the flow d_i in
-    column n and, with ``balance``, the row sum of the first n columns."""
-    n = probs.shape[-1]
-    stack = probs.reshape(-1, n, n).tolist()
-    o = orig.tolist()
-    out = []
-    for p in stack:
-        for row in p:
-            d = row[n - 1]
-            cells = [d * o[j] + row[j] for j in range(n)]
-            cells[n - 1] = 0.0
-            cells.append(d)
-            if balance:
-                cells.append(float(np.sum(cells[:n])))
-            out.append(cells)
-    return np.array(out).reshape(probs.shape[:-1] + (n + 1 + balance,))
 
 
 class TestStepStackLayout:
@@ -326,11 +297,6 @@ def tails_repeated_across_rows(probs: np.ndarray) -> int:
 
 def kernel_rows(tm, rho, z):
     return transition._stressed_probs(tm, rho, z)[:, :-1]
-
-
-def assert_same_bits(got, want):
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDistinctTailKernel:

@@ -35,6 +35,14 @@ class TestValidation:
             ts.validate_transition_matrix(raw)
         assert err.value.code == "row-sum"
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InputError) as err:  # not a row sum of 5 rescaled
+            ts.validate_transition_matrix([[4, 1, 0], [.3, .6, .1], [0, 0, 1]],
+                                          tol=tol)
+        assert (err.value.code, str(err.value)) == (
+            "invalid-argument", f"tol must be a finite number >= 0, got {tol}")
+
     def test_perturbed_entry_rejected(self, data_dir):
         raw = np.loadtxt(data_dir / "transition_matrix.csv", delimiter=",")
         raw[0, 0] += 0.01

@@ -7,8 +7,9 @@ import ttcstress as ts
 from ttcstress.errors import ConvergenceError, InputError, PrimitivityError
 
 from conftest import (TTC_PD_PUBLISHED, TTC_PORTFOLIO_PUBLISHED,
-                      bench_systems, counterexample_matrix, random_portfolio,
-                      random_system)
+                      bench_systems, counterexample_matrix,
+                      master_scale_system, random_portfolio, random_system)
+from oracles import assert_same_bits, perron_vector, reference_m_p
 
 
 class TestIsPrimitive:
@@ -102,12 +103,20 @@ class TestIterativeSolver:
         with pytest.raises(PrimitivityError):
             ts.solve_ttc_iterative(tm, ts.OriginationVector([0.5, 0.5, 0.0]))
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5])
     def test_max_iter_below_one_rejected(self, matrix8, origination8,
                                          max_iter):
         with pytest.raises(InputError) as err:
             ts.solve_ttc_iterative(matrix8, origination8, max_iter=max_iter)
         assert err.value.code == "invalid-argument"
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0, float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, matrix8,
+                                                   origination8, tol):
+        with pytest.raises(InputError) as err:
+            ts.solve_ttc_iterative(matrix8, origination8, tol=tol)
+        assert (err.value.code, str(err.value)) == (
+            "invalid-argument", f"tol must be a finite number > 0, got {tol}")
 
     def test_forced_counterexample_reports_period_two_cycle(self):
         tm = counterexample_matrix()
@@ -120,6 +129,17 @@ class TestIterativeSolver:
         assert err.value.cycle_delta == 0.0
         assert err.value.last_delta == pytest.approx(2.0)
         assert "period 2" in str(err.value)
+
+    def test_near_period_two_message_agrees_with_the_flag(self):
+        tm = ts.validate_transition_matrix(
+            [[0.001, 0.998, 0.001], [0.998, 0.001, 0.001], [0, 0, 1]])
+        with pytest.raises(ConvergenceError) as err:
+            ts.solve_ttc_iterative(tm, ts.OriginationVector([1.0, 0.0, 0.0]),
+                                   max_iter=4000, require_primitive=False)
+        # above tol, below the flag's bound: the message follows the flag
+        assert 1e-12 < err.value.cycle_delta < 1e-9 and err.value.oscillating
+        assert str(err.value).endswith("(iterates repeat with period 2, "
+                                       "the system is oscillating)")
 
     def test_start_independence(self, matrix8, origination8, ttc8):
         rng = np.random.default_rng(17)
@@ -315,12 +335,9 @@ class TestRoundedRates:
 
     def test_bundled_ttc_is_published_rate_perron_vector(self, matrix8,
                                                          origination8, ttc8):
-        m_p = (matrix8.published[:-1, :-1].T
-               + np.outer(origination8.weights[:-1], matrix8.published[:-1, -1]))
-        vals, vecs = np.linalg.eig(m_p)
-        k = int(np.argmax(vals.real))
-        v = vecs[:, k].real / vecs[:, k].real.sum()
-        assert vals[k].real != pytest.approx(1.0, abs=1e-5)
+        root, v = perron_vector(reference_m_p(matrix8.published,
+                                              origination8.weights))
+        assert root != pytest.approx(1.0, abs=1e-5)
         assert np.abs(ttc8.w_ttc.weights[:-1] - v).max() <= 1e-10
 
     @pytest.mark.parametrize("n, seed", [(50, 0), (50, 1), (200, 0),
@@ -328,19 +345,12 @@ class TestRoundedRates:
     def test_fixed_vector_at_master_scale(self, n, seed):
         """A banded master-scale system with one row moved one tick: the
         bordered solve at the computed root gives eig's Perron vector."""
-        systems = bench_systems()
-        rng = np.random.default_rng(1400 + seed)
-        probs, orig = systems.rating_system(rng, n)
-        i = int(rng.integers(n - 1))
-        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
-        assert systems.primitive(probs[:-1, :-1])
-        tm = ts.validate_transition_matrix(probs, tol=2e-4)
+        tm, orig = master_scale_system(np.random.default_rng(1400 + seed), n)
         assert tm.published is not None
-        report = ts.verify_perron_structure(tm, ts.OriginationVector(orig))
-        m_p = systems.m_p(probs, orig)
-        vals, vecs = np.linalg.eig(m_p)
-        k = int(np.argmax(vals.real))
-        v = vecs[:, k].real / vecs[:, k].real.sum()
+        assert bench_systems().primitive(tm.published[:-1, :-1])
+        report = ts.verify_perron_structure(tm, orig)
+        m_p = reference_m_p(tm.published, orig.weights)
+        _, v = perron_vector(m_p)
         assert np.abs(report.fixed_vector - v).max() <= 1e-12
         assert report.residual <= 1e-13
         moduli = np.sort(np.abs(np.linalg.eigvals(m_p)))
@@ -389,19 +399,6 @@ class TestOneSpectralComputation:
             assert counts == {"eig": 0, "eigvals": 1, "solve": 1}
 
 
-def reference_m_p(probs: np.ndarray, orig: np.ndarray) -> np.ndarray:
-    """M_p entry by entry: (j, i) is the direct migration from grade i to
-    grade j plus the share of grade i's default flow re-originated into j."""
-    return probs[:-1, :-1].T + np.outer(orig[:-1], probs[:-1, -1])
-
-
-def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    # bytes compared as arrays: pytest's diff of long byte strings is slow
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert np.array_equal(np.frombuffer(got.tobytes(), np.uint8),
-                          np.frombuffer(want.tobytes(), np.uint8))
-
-
 def one_owner_system(k: int
                      ) -> tuple[ts.TransitionMatrix, ts.OriginationVector]:
     """System k of 30, n = 3, 8, 21, 50 and 200 six each: master-scale ones
@@ -411,12 +408,7 @@ def one_owner_system(k: int
     rng = np.random.default_rng(22000 + k)
     if k % 3 == 2:
         return (random_system if k % 6 == 2 else rounded_system)(rng, n)
-    probs, orig = bench_systems().rating_system(rng, n)
-    if k % 3 == 1:
-        i = int(rng.integers(n - 1))
-        probs[i, i] = np.round(probs[i, i] + rng.choice([-1e-4, 1e-4]), 4)
-    return (ts.validate_transition_matrix(probs, tol=2e-4),
-            ts.OriginationVector(orig))
+    return master_scale_system(rng, n, moved=k % 3 == 1)
 
 
 class TestOneOwnerOfTheMap:
