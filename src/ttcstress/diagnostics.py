@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 from .propagation import (OriginationVector, Portfolio, ProjectionPath,
                           _check_sizes, _pd, project_path)
-from .transition import TransitionMatrix, _check_count
+from .transition import TransitionMatrix, _check_count, _floats, _number
 from .ttc import (PerronReport, TTCResult, _primitivity_defect, _ttc_result,
                   is_primitive, verify_perron_structure)
 
@@ -127,12 +127,8 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND) -> SpuriousReport:
     monotone-convergent (the report separately records whether the
     deviations |a_t - a_m| are truly non-increasing).
     """
-    arr = np.array(pds, dtype=float)  # a copy: the caller may write to pds
-    arr.flags.writeable = False
-    if arr.ndim != 1 or arr.size < 2:
-        raise InputError("too-short", "need at least two PD observations")
-    if not np.isfinite(arr).all():
-        raise InputError("invalid-argument", "PD path contains non-finite values")
+    arr = _floats(pds, "PD path", min_size=2, code="too-short")
+    band = _number(band, "band")
     if not 0.0 < band < np.inf:
         raise InputError("invalid-argument",
                          "band must be a finite positive number")
@@ -158,7 +154,7 @@ def classify_pd_path(pds, band: float = DEFAULT_BAND) -> SpuriousReport:
         terminal_pd=terminal,
         classification=classification,
         first_crossing=first_crossing,
-        band=float(band),
+        band=band,
         deviations_non_increasing=non_increasing,
     )
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InputError
 from .normal import std_normal_cdf, std_normal_inv_cdf
-from .transition import _check_count, _check_rho
+from .transition import (_check_count, _check_finite, _check_rho, _floats,
+                         _number)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,16 +30,10 @@ class CreditIndexSeries:
     periods: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)  # a read-only copy
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("shape", "credit index must be a non-empty vector")
-        if not np.isfinite(arr).all():
-            raise InputError("invalid-argument",
-                             "credit index contains non-finite values")
+        arr = _floats(self.values, "credit index", min_size=1)
         if (arr < 0.0).any() or (arr > 1.0).any():
             raise InputError("invalid-argument",
                              "credit index values must lie in [0, 1]")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if self.periods is not None and len(self.periods) != arr.size:
             raise InputError("shape", "period labels do not match series length")
@@ -56,15 +51,12 @@ class MacroScenario:
     periods: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)  # a read-only copy
+        arr = _floats(self.values, "macro scenario")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise InputError("shape", "macro scenario must be a non-empty matrix")
-        if not np.isfinite(arr).all():
-            raise InputError("invalid-argument",
-                             "macro scenario contains non-finite values")
+        _check_finite(arr)
         if len(self.names) != arr.shape[1]:
             raise InputError("shape", "variable names do not match column count")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if self.periods is not None and len(self.periods) != arr.shape[0]:
             raise InputError("shape", "period labels do not match row count")
@@ -97,16 +89,11 @@ class MacroModel:
     residual_variance: float
 
     def __post_init__(self):
-        betas = np.array(self.betas, dtype=float)  # a read-only copy
-        if betas.ndim != 1 or betas.size < 2 or not np.isfinite(betas).all():
-            raise InputError("invalid-argument",
-                             "betas must be a finite vector of length >= 2 "
-                             "(intercept first)")
-        p = float(self.p)
+        betas = _floats(self.betas, "betas", min_size=2, code="invalid-argument")
+        p = _number(self.p, "p")
         if not 0.0 < p < 1.0:
             raise InputError("invalid-argument",
                              f"p must lie in (0, 1), got {p!r}")
-        betas.flags.writeable = False
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "lag", _check_count("lag", self.lag, 0))
         object.__setattr__(self, "p", p)
@@ -126,14 +113,11 @@ class MacroModel:
 
     def _checked_row(self, macro_row) -> np.ndarray:
         """``macro_row`` as a (1, k) stack, checked for size and finiteness."""
-        row = np.asarray(macro_row, dtype=float)
+        row = _floats(macro_row, "macro row")
         if row.ndim != 1 or row.size != self.n_vars:
             raise InputError("dimension-mismatch",
                              f"expected {self.n_vars} macro values, got {row.size}")
-        if not np.isfinite(row).all():
-            raise InputError("invalid-argument",
-                             "macro row contains non-finite values")
-        return row[None]
+        return _floats(row, "macro row", min_size=1)[None]  # size first, then finite
 
     def _predictors(self, rows: np.ndarray) -> np.ndarray:
         """Linear predictor of every row of a (count, k) stack.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .transition import (_EPS, _STRICT_ROW_TOL, TransitionMatrix, _check_rho,
-                         _stressed_probs)
+                         _floats, _stressed_probs)
 
 
 def _check_weights(values, what: str,
@@ -32,11 +32,7 @@ def _check_weights(values, what: str,
     failed sum reads "``what`` sums to s, outside 1 +- tol", and the bound
     has n ulp of slack, as in :func:`~ttcstress.transition._check_rates`.
     Returns a read-only copy, so no later write can skip the checks."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise InputError("shape", f"{what} must be a vector of length >= 2")
-    if not np.isfinite(arr).all():
-        raise InputError("invalid-argument", f"{what} contains non-finite entries")
+    arr = _floats(values, what, min_size=2)
     if (arr < 0.0).any():
         i = int(np.argmax(arr < 0.0))
         raise InputError("negative-entry",
@@ -45,7 +41,6 @@ def _check_weights(values, what: str,
     if abs(total - 1.0) > tol + arr.size * _EPS:
         raise InputError("weight-sum",
                          f"{what} sums to {total!r}, outside 1 +- {tol}")
-    arr.flags.writeable = False
     return arr
 
 
@@ -245,11 +240,7 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     throughout and are bit for bit :func:`average_pd` of each book, so a
     period's PD does not depend on the horizon.
     """
-    z_arr = np.array(z_path, dtype=float)
-    if z_arr.ndim != 1 or z_arr.size == 0:
-        raise InputError("shape", "z path must be a non-empty vector")
-    if not np.isfinite(z_arr).all():
-        raise InputError("invalid-argument", "z path contains non-finite entries")
+    z_arr = _floats(z_path, "z path", min_size=1)
     _check_sizes(portfolio=initial, matrix=tm, origination=origination)
     rho = _check_rho(rho)
     m = z_arr.size
@@ -272,7 +263,7 @@ def project_path(initial: Portfolio, tm: TransitionMatrix,
     buf[0, :n] = initial.weights
     _propagate(buf[0, :n], steps, buf[1:])
     pds = _pd(buf[:, :n], tm)
-    for arr in (z_arr, buf, pds):  # the record's arrays are views of these
+    for arr in (buf, pds):  # the record's arrays are views of these
         arr.flags.writeable = False
     return ProjectionPath(
         initial=initial,

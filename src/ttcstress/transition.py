@@ -71,9 +71,8 @@ class TransitionMatrix:
         default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        arr = _floats(self.probs, "transition matrix")
         _check_rates(arr, _STRICT_ROW_TOL)
-        arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -112,6 +111,34 @@ class TransitionMatrix:
         body[...] = tails < 1.0  # slot 0 holds 1.0, slot 1 holds 0.0
         body[inner] = slot + 2
         return std_normal_inv_cdf(values), index.ravel()
+
+
+def _floats(values, what: str, min_size: int = 0,
+            code: str = "shape") -> np.ndarray:
+    """A read-only float copy of ``values``; values that are not numbers
+    are an ``invalid-argument`` error.  With ``min_size`` the copy must also
+    be a vector of at least that length, else a ``code`` error, and finite."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("invalid-argument", f"{what} must be numeric") from None
+    if min_size:
+        if arr.ndim != 1 or arr.size < min_size:
+            raise InputError(code, f"{what} must be a vector of length >= {min_size}")
+        if not np.isfinite(arr).all():
+            raise InputError("invalid-argument", f"{what} contains non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
+def _number(value, what: str) -> float:
+    """``float(value)``; a value that is not a number is an
+    ``invalid-argument`` error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError("invalid-argument",
+                         f"{what} must be numeric, got {value!r}") from None
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -167,7 +194,7 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     sets; otherwise ``published`` is None.
     """
     _check_tol(tol)
-    arr = np.array(raw, dtype=float)
+    arr = _floats(raw, "transition matrix")
     sums = _check_rates(arr, tol)
     # rescale only rows that need it, so already-valid matrices pass through
     # bit for bit (parse/emit round trips stay exact)
@@ -177,7 +204,6 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
     probs = arr.copy()
     probs[needs] = arr[needs] / sums[needs, None]
     tm = TransitionMatrix(probs)
-    arr.flags.writeable = False
     object.__setattr__(tm, "published", arr)
     return tm
 
@@ -185,7 +211,7 @@ def validate_transition_matrix(raw, tol: float = ROW_SUM_TOL) -> TransitionMatri
 def _check_tol(tol: float, positive: bool = False) -> None:
     """Anything but a finite ``tol`` >= 0 (> 0 when ``positive``) is an
     ``invalid-argument`` error."""
-    value = float(tol)
+    value = _number(tol, "tol")
     if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
         bound = ">" if positive else ">="
         raise InputError("invalid-argument", f"tol must be a finite number "
@@ -202,7 +228,7 @@ def _check_count(name: str, value, minimum: int) -> int:
 
 
 def _check_rho(rho: float) -> float:
-    rho = float(rho)
+    rho = _number(rho, "asset correlation")
     if not (0.0 <= rho < 1.0) or np.isnan(rho):
         raise InputError("invalid-argument",
                          f"asset correlation must lie in [0, 1), got {rho!r}")
@@ -210,7 +236,7 @@ def _check_rho(rho: float) -> float:
 
 
 def _check_z(z: float) -> float:
-    z = float(z)
+    z = _number(z, "economy state")
     if not np.isfinite(z):
         raise InputError("invalid-argument",
                          f"economy state must be finite, got {z!r}")
@@ -224,7 +250,7 @@ def pit_pd(p_ttc: float, rho: float, z: float) -> float:
     model.  ``z == 0`` or ``rho == 0`` means no stress and returns ``p_ttc``
     unchanged; boundary PDs 0 and 1 are preserved.
     """
-    p_ttc = float(p_ttc)
+    p_ttc = _number(p_ttc, "probability")
     if np.isnan(p_ttc) or not (0.0 <= p_ttc <= 1.0):
         raise InputError("invalid-argument",
                          f"probability must lie in [0, 1], got {p_ttc!r}")

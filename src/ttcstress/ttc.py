@@ -34,7 +34,7 @@ from .errors import ConvergenceError, InputError, PrimitivityError
 from .propagation import (OriginationVector, Portfolio, _check_sizes, _pd,
                           _propagate, _step_matrix, average_pd)
 from .transition import (TransitionMatrix, _check_count, _check_finite,
-                         _check_tol)
+                         _check_tol, _floats)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -50,7 +50,7 @@ def is_primitive(block) -> bool:
     or overflow is possible.  A non-finite entry is an input error, as in
     a transition matrix: neither NaN nor an infinity is an edge weight.
     """
-    arr = np.asarray(block, dtype=float)
+    arr = _floats(block, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise InputError("shape", "primitivity check needs a square matrix")
     _check_finite(arr)

@@ -372,3 +372,51 @@ class TestOwnedRates:
         assert tm.published is not None
         with pytest.raises(ValueError):
             tm.published[0, 0] = 0.5
+
+
+RATES3 = [[0.90, 0.08, 0.02], [0.10, 0.85, 0.05], [0.0, 0.0, 1.0]]
+TM3 = ts.TransitionMatrix(RATES3)
+ORIG3 = ts.OriginationVector([0.6, 0.4, 0.0])
+BOOK3 = ts.Portfolio([0.5, 0.5, 0.0])
+LETTERS = [["a", "b"], ["c", "d"]]
+
+
+def _model(**given):
+    fields = dict(betas=[0.1, 0.2], lag=0, p=0.02, rho=0.1, r_squared=0.5,
+                  residual_variance=0.1)
+    return ts.MacroModel(**{**fields, **given})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ts.Portfolio(["a", "b"]),
+    lambda: ts.OriginationVector(["a", "b"]),
+    lambda: ts.TransitionMatrix(LETTERS),
+    lambda: ts.validate_transition_matrix(LETTERS),
+    lambda: ts.is_primitive([["a"]]),
+    lambda: ts.project_path(BOOK3, TM3, ORIG3, 0.2, z_path=["x"]),
+    lambda: ts.classify_pd_path(["a", "b"]),
+    lambda: ts.CreditIndexSeries(["a"]),
+    lambda: ts.MacroScenario([["a"]], ("x",)),
+    lambda: _model(betas=["a", "b"]),
+    lambda: ts.economy_state(_model(), ["a"]),
+    lambda: ts.validate_transition_matrix(RATES3, tol="abc"),
+    lambda: ts.solve_ttc_iterative(TM3, ORIG3, tol="abc"),
+    lambda: ts.project_path(BOOK3, TM3, ORIG3, rho=None, z_path=[-1.0]),
+    lambda: ts.stress_transition_matrix(TM3, None, -1),
+    lambda: ts.stress_transition_matrix(TM3, 0.1, "z"),
+    lambda: ts.pit_pd("x", 0.1, 1),
+    lambda: ts.classify_pd_path([0.1, 0.2], band=None),
+    lambda: ts.run_validation(BOOK3, TM3, ORIG3, band="x"),
+    lambda: _model(p="p"),
+    lambda: _model(rho="r"),
+], ids=["portfolio", "origination", "matrix", "validate", "is_primitive",
+        "z_path", "pd_path", "credit_index", "scenario", "betas",
+        "macro_row", "validate_tol", "iterative_tol", "project_rho",
+        "stress_rho", "stress_z", "pit_pd", "band", "validation_band",
+        "model_p", "model_rho"])
+def test_a_value_that_is_not_a_number_is_an_invalid_argument(call):
+    """Every number a caller passes in goes through one checked conversion,
+    so a non-number is an InputError, not a bare ValueError or TypeError."""
+    with pytest.raises(InputError) as err:
+        call()
+    assert err.value.code == "invalid-argument"
